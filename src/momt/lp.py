@@ -1,9 +1,17 @@
 """Exact primal/dual solver for discrete Monge-Kantorovich linear programs.
 
-The solver is a revised simplex over the dense column grid with Bland's rule
-for anti-cycling: deterministic, returns basic (vertex) solutions and exact
-dual multipliers.  Maximization instances are negated internally and the
-sense is restored in all reported quantities.
+The solver is a revised simplex over the dense column grid.  It prices by
+the most negative reduced cost (Dantzig) and, after a run of degenerate
+pivots, falls back to Bland's rule until a pivot makes progress, so it
+cannot cycle.  The basis inverse is kept by rank-one updates and
+refactorised at a fixed interval and before optimality is declared.
+`solve` starts from an N-marginal north-west-corner staircase basis (no
+phase 1) on the cost normalised to minimum 0 and span 1, and returns a
+basic (vertex) plan with strictly complementary potentials: their active
+set is the union of all optimal supports, whatever the pivot path.
+General polytopes (`solve_model`) start with a phase 1 over artificials.
+Maximization instances are negated internally and the sense is restored in
+all reported quantities.  Everything is deterministic.
 
 A polytope is described by marginal-type equality constraints: each
 constraint pins the plan's restriction to a block of axes.  The standard
@@ -28,6 +36,7 @@ from .instance import DiscreteInstance
 from .measure import Coupling, DiscreteMeasure
 from .tolerances import (
     ACTIVE_TOL,
+    DUAL_FEAS_TOL,
     GAP_TOL,
     MASS_FLOOR,
     RATIO_TOL,
@@ -169,10 +178,20 @@ def standard_model(measures: list[DiscreteMeasure], grid_cap=DEFAULT_GRID_CAP,
 # revised simplex
 # ---------------------------------------------------------------------------
 
+_MAX_PIVOTS = 200_000
+_STALL_PIVOTS = 40       # degenerate pivots in a row before Bland's rule takes over
+_REFACTOR_EVERY = 50     # rank-one updates between fresh basis factorisations
+_FACE_MASS_TOL = 1e-9    # off-support mass below which a face LP optimum is zero
+_SMALL_PIVOT = 1e-3      # pivots this small relative to their column get a fresh B^{-1}
+_TINY_PIVOT = 1e-7       # and this small even then are refused, as near-singular
+
+
 @dataclass
 class _SimplexState:
     basis: list[int]          # column ids; id >= n_cols means artificial e_{id-n_cols}
-    iterations: int = 0
+    iterations: int = 0       # pivots taken
+    inverse: np.ndarray | None = None   # B^{-1}, kept by rank-one updates
+    updates: int = 0          # rank-one updates since the last factorisation
 
 
 def _basis_matrix(A, m, basis):
@@ -186,30 +205,66 @@ def _basis_matrix(A, m, basis):
     return B
 
 
-def _pivot_loop(A, b, costs, state, allow_enter, max_iter):
-    """Bland-rule pivoting until no entering column (min sense)."""
+def _refactor(A, state):
+    m = A.shape[0]
+    try:
+        state.inverse = np.linalg.solve(_basis_matrix(A, m, state.basis), np.eye(m))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular basis: {exc}") from exc
+    state.updates = 0
+
+
+def _exchange(state, p, entering, d):
+    """Put `entering` (whose column is B d) at basis position p."""
+    inv = state.inverse
+    row = inv[p] / d[p]
+    inv -= np.outer(d, row)
+    inv[p] = row
+    state.basis[p] = entering
+    state.updates += 1
+
+
+def _in_basis(state, n):
+    mask = np.zeros(n, dtype=bool)
+    cols = np.asarray(state.basis)
+    mask[cols[cols < n]] = True
+    return mask
+
+
+def _pivot_loop(A, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
+    """Pivot until no allowed column prices out (min sense); return (xB, y).
+
+    Dantzig pricing enters the most negative reduced cost and leaves on the
+    largest pivot among ratio ties.  After _STALL_PIVOTS degenerate pivots in
+    a row, Bland's rule (lowest entering index, lowest leaving column) takes
+    over until a pivot makes progress, so the loop cannot cycle.  Optimality
+    is only declared, and small pivots only taken, on a freshly factorised
+    basis; a column whose pivot is tiny even then would make the basis
+    near-singular, and is passed over until the next pivot.
+    """
     m, n = A.shape
+    in_basis = _in_basis(state, n)
+    rejected = np.zeros(n, dtype=bool)
+    stalled = 0
     while True:
-        state.iterations += 1
-        if state.iterations > max_iter:
-            raise SolverError("simplex iteration cap exceeded")
-        B = _basis_matrix(A, m, state.basis)
-        try:
-            cB = np.array([costs[c] for c in state.basis])
-            y = np.linalg.solve(B.T, cB)
-            xB = np.linalg.solve(B, b)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular basis: {exc}") from exc
-        reduced = costs[:n] - A.T @ y
-        candidates = np.flatnonzero(reduced < -REDUCED_COST_TOL)
-        entering = -1
-        for j in candidates:
-            if allow_enter[j] and j not in state.basis:
-                entering = int(j)
-                break
-        if entering < 0:
-            return xB, y
-        d = np.linalg.solve(B, A[:, entering])
+        if state.inverse is None or state.updates >= _REFACTOR_EVERY:
+            _refactor(A, state)
+        inv = state.inverse
+        xB = inv @ b
+        y = costs[state.basis] @ inv
+        reduced = costs[:n] - y @ A
+        candidates = allow_enter & ~in_basis & ~rejected & (reduced < -REDUCED_COST_TOL)
+        if not candidates.any():
+            if state.updates == 0:
+                return xB, y
+            state.inverse = None           # price again on a fresh factorisation
+            continue
+        bland = stalled >= _STALL_PIVOTS
+        if bland:
+            entering = int(np.argmax(candidates))
+        else:
+            entering = int(np.argmin(np.where(candidates, reduced, np.inf)))
+        d = inv @ A[:, entering]
         pos = d > RATIO_TOL
         if not pos.any():
             raise SolverError("unbounded direction on a mass polytope")
@@ -217,57 +272,79 @@ def _pivot_loop(A, b, costs, state, allow_enter, max_iter):
         ratios[pos] = np.maximum(xB[pos], 0.0) / d[pos]
         rmin = ratios.min()
         tied = np.flatnonzero(ratios <= rmin + 1e-10 * (1.0 + rmin))
-        leaving_pos = min(tied, key=lambda p: state.basis[p])
-        state.basis[leaving_pos] = entering
-
-
-def _drive_out_artificials(A, b, state):
-    m, n = A.shape
-    for p in range(m):
-        if state.basis[p] < n:
+        if bland:
+            leaving = min(tied, key=lambda p: state.basis[p])
+        else:
+            leaving = tied[np.argmax(d[tied])]
+        if state.updates and d[leaving] < _SMALL_PIVOT * np.abs(d).max():
+            state.inverse = None           # may be update noise: recompute it
             continue
-        B = _basis_matrix(A, m, state.basis)
-        w = np.linalg.solve(B.T, np.eye(m)[:, p])
-        row = w @ A
-        cand = np.flatnonzero(np.abs(row) > 1e-9)
-        chosen = -1
-        for j in cand:
-            if j not in state.basis:
-                chosen = int(j)
-                break
-        if chosen < 0:
-            raise SolverError("could not pivot artificial out of a full-rank system")
-        state.basis[p] = chosen
+        if d[leaving] < _TINY_PIVOT * np.abs(d).max():
+            rejected[entering] = True
+            continue
+        rejected[:] = False
+        state.iterations += 1
+        if state.iterations > max_iter:
+            raise SolverError("simplex iteration cap exceeded")
+        stalled = stalled + 1 if rmin <= RATIO_TOL else 0
+        if state.basis[leaving] < n:
+            in_basis[state.basis[leaving]] = False
+        in_basis[entering] = True
+        _exchange(state, leaving, entering, d)
 
 
-def _simplex(A, b, costs, max_iter=200_000):
-    """Two-phase revised simplex; returns (x over columns, duals, iterations)."""
-    m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    state = _SimplexState(basis=[n + i for i in range(m)])
-    phase1 = np.concatenate([np.zeros(n), np.ones(m)])
-    allow = np.ones(n, dtype=bool)
-    xB, _ = _pivot_loop(A, b, phase1, state, allow, max_iter)
-    infeas = sum(xB[p] for p in range(m) if state.basis[p] >= n)
-    if infeas > 1e-9:
-        raise SolverError(f"phase-1 infeasibility {infeas:.3e}")
-    _drive_out_artificials(A, b, state)
-
-    full_costs = np.concatenate([costs, np.zeros(m)])
-    xB, y = _pivot_loop(A, b, full_costs, state, allow, max_iter)
+def _basic_solution(xB, state, n):
     if (xB < -1e-9).any():
         raise SolverError("basic solution drifted negative")
     x = np.zeros(n)
     for p, col in enumerate(state.basis):
         if col < n:
             x[col] = max(xB[p], 0.0)
-    y = y * np.where(neg, -1.0, 1.0)
-    return x, y, state.iterations
+    return x
+
+
+def _feasible_basis(A, b, max_iter=_MAX_PIVOTS):
+    """Phase 1 from an all-artificial basis, then pivot the artificials out."""
+    m, n = A.shape
+    state = _SimplexState(basis=[n + i for i in range(m)], inverse=np.eye(m))
+    phase1 = np.concatenate([np.zeros(n), np.ones(m)])
+    xB, _ = _pivot_loop(A, b, phase1, state, np.ones(n, dtype=bool), max_iter)
+    infeas = sum(xB[p] for p in range(m) if state.basis[p] >= n)
+    if infeas > 1e-9:
+        raise SolverError(f"phase-1 infeasibility {infeas:.3e}")
+    in_basis = _in_basis(state, n)
+    for p in range(m):
+        if state.basis[p] < n:
+            continue
+        row = state.inverse[p] @ A
+        cand = (np.abs(row) > 1e-9) & ~in_basis
+        if not cand.any():
+            raise SolverError("could not pivot artificial out of a full-rank system")
+        chosen = int(np.argmax(cand))
+        in_basis[chosen] = True
+        _exchange(state, p, chosen, state.inverse @ A[:, chosen])
+    return state
+
+
+def _simplex(A, b, costs, max_iter=_MAX_PIVOTS, basis=None):
+    """Revised simplex; returns (x over columns, duals, pivots).
+
+    Without a starting `basis`, phase 1 finds one from artificials.
+    """
+    m, n = A.shape
+    A = A.copy()
+    b = b.copy()
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+    if basis is None:
+        state = _feasible_basis(A, b, max_iter)
+    else:
+        state = _SimplexState(basis=list(basis))
+    xB, y = _pivot_loop(A, b, np.asarray(costs, float), state,
+                        np.ones(n, dtype=bool), max_iter)
+    x = _basic_solution(xB, state, n)
+    return x, y * np.where(neg, -1.0, 1.0), state.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +439,77 @@ def _coupling_from_x(x: np.ndarray, arities: tuple[int, ...]) -> Coupling:
     return Coupling(arities, entries)
 
 
+def _staircase_basis(measures: list[DiscreteMeasure]) -> list[int]:
+    """North-west-corner basis of the standard model.
+
+    Walk from cell (0, ..., 0), placing as much mass as every current atom
+    has left, and advance exactly one axis per step: the one whose atom has
+    least mass left, among axes not at their last atom (lowest axis on
+    ties).  That gives sum(n_k) - N + 1 cells; each one but the last is the
+    final cell of the atom it leaves, and the last holds the last atom of
+    axis 0, so the columns are triangular on the kept rows, hence a basis,
+    and the placed masses make it feasible.
+    """
+    arities = tuple(m.size for m in measures)
+    left = [m.weights.copy() for m in measures]
+    at = [0] * len(arities)
+    cells = []
+    while True:
+        cells.append(int(np.ravel_multi_index(at, arities)))
+        mass = min(w[i] for w, i in zip(left, at))
+        for w, i in zip(left, at):
+            w[i] -= mass
+        movable = [k for k, n in enumerate(arities) if at[k] < n - 1]
+        if not movable:
+            return cells
+        at[min(movable, key=lambda k: left[k][at[k]])] += 1
+
+
+def _strictly_complementary(A, b, c, x, y, state):
+    """Move optimal duals y onto the relative interior of the dual face.
+
+    Cells priced within ACTIVE_TOL may carry optimal mass.  A face LP over
+    them, warm-started from the optimal basis, maximizes the mass off the
+    cells known to be in some optimal support.  A positive optimum is
+    another optimal plan: its support joins the known cells and the face LP
+    runs again.  A zero optimum proves the known cells are the union of all
+    optimal supports; the face LP's dual psi then prices every other active
+    cell at -1 or less and the known cells at 0, so the step y + eps * psi
+    makes them inactive without changing the dual value.  eps is the largest
+    step that leaves every inactive cell at least as much slack as the
+    cells it frees (Goldman-Tucker strict complementarity).
+    """
+    known = x > MASS_FLOOR
+    reduced = c - y @ A
+    active = reduced <= ACTIVE_TOL
+    while True:
+        off = active & ~known
+        if not off.any():
+            return y
+        face = -off.astype(float)
+        xB, psi = _pivot_loop(A, b, face, state, active)
+        xf = _basic_solution(xB, state, A.shape[1])
+        if xf[off].sum() > _FACE_MASS_TOL:
+            known |= off & (xf > MASS_FLOOR)
+            continue
+        a = psi @ A
+        freed = float(-a[off].max())
+        blocking = ~active & (a > 0)
+        eps = 1.0 / freed
+        if blocking.any():
+            eps = min(eps, float((reduced[blocking] / (freed + a[blocking])).min()))
+        return y + eps * psi
+
+
 def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> SolveResult:
     """Solve the transport LP exactly.
 
     Returns a basic optimal plan (a polytope vertex), canonical-gauge dual
     potentials, and the optimal value; strong duality and complementary
-    slackness residuals are carried along for auditing.
+    slackness residuals are carried along for auditing.  The simplex runs
+    on the cost shifted to minimum 0 and divided by its span, and the
+    potentials are strictly complementary: their active set (within
+    ACTIVE_TOL times the span) is the union of all optimal supports.
     """
     grid = instance.cost_grid()
     if not np.isfinite(grid).all():
@@ -375,7 +517,13 @@ def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> Solve
     model = standard_model(instance.measures, grid_cap=grid_cap)
     sign = -1.0 if instance.sense == "max" else 1.0
     c = sign * grid.reshape(-1)
-    x, y, iters = _simplex(model.A, model.b, c)
+    shift = float(c.min())
+    span = float(c.max() - shift) or 1.0
+    c = (c - shift) / span
+    state = _SimplexState(basis=_staircase_basis(instance.measures))
+    xB, y = _pivot_loop(model.A, model.b, c, state, np.ones(model.n_cols, dtype=bool))
+    x = _basic_solution(xB, state, model.n_cols)
+    y = _strictly_complementary(model.A, model.b, c, x, y, state)
 
     residual = np.abs(model.A_full @ x - model.b_full).max()
     if residual > 1e-8:
@@ -386,17 +534,22 @@ def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> Solve
     vectors = [np.zeros(n) for n in instance.arities]
     for r, kept_row in enumerate(model.kept):
         ci, pos = model.row_meta[kept_row]
-        vectors[ci][pos] = sign * y[r]
+        vectors[ci][pos] = sign * span * y[r]
+    vectors[0] += sign * shift
     vectors = _canonical_gauge(vectors, instance.measures)
     potentials = Potentials(vectors, instance.sense)
+    # a sum of N potentials is only as precise as rounding at the cost's size
+    violation = potentials.feasibility_violation(grid)
+    if violation > DUAL_FEAS_TOL * span + len(vectors) * np.spacing(np.abs(grid).max()):
+        raise SolverError(f"potentials violate dual feasibility by {violation:.3e}")
 
-    value = float(grid.reshape(-1) @ x)
+    value = sign * (shift + span * float(c @ x))
     gap = abs(value - potentials.dual_value(instance.measures))
     slack_grid = grid - potentials.sum_grid(instance.arities)
     slack_res = float(
         sum(abs(slack_grid[idx]) * mass for idx, mass in plan.entries.items())
     )
-    return SolveResult(plan, potentials, value, iters, gap, slack_res)
+    return SolveResult(plan, potentials, value, state.iterations, gap, slack_res)
 
 
 def solve_model(model: PolytopeModel, cost_vector: np.ndarray,
@@ -442,18 +595,6 @@ def _vertex_key(x, tol_digits=11):
     )
 
 
-def _initial_basis_for(A, b):
-    m, n = A.shape
-    state = _SimplexState(basis=[n + i for i in range(m)])
-    phase1 = np.concatenate([np.zeros(n), np.ones(m)])
-    xB, _ = _pivot_loop(A, b, phase1, state, np.ones(n, dtype=bool), 200_000)
-    infeas = sum(xB[p] for p in range(m) if state.basis[p] >= n)
-    if infeas > 1e-9:
-        raise SolverError(f"phase-1 infeasibility {infeas:.3e}")
-    _drive_out_artificials(A, b, state)
-    return state.basis
-
-
 def _presolve_zero_cells(A, b):
     """Drop columns forced to zero by zero-mass rows with one-signed support.
 
@@ -491,7 +632,7 @@ def enumerate_vertices(model: PolytopeModel, max_bases: int = 200_000):
     """
     A, b, keep_cols = _presolve_zero_cells(model.A, model.b)
     m, n = A.shape
-    start = tuple(sorted(_initial_basis_for(A, b)))
+    start = tuple(sorted(_feasible_basis(A, b).basis))
     seen_bases = {start}
     queue = [start]
     vertices: dict[tuple, np.ndarray] = {}

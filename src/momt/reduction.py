@@ -268,7 +268,6 @@ def reconstruct_from_pair_reductions(instance: DiscreteInstance, potentials: Pot
         sum(grid[idx] * m for idx, m in reference_plan.entries.items())
     )
     value_gap = abs(value - ref_value)
-    tv = None
     ref = reference_plan if reference_plan is not None else full.plan
     tv = assembled.total_variation(ref)
     report = PairReconstructionReport(

@@ -36,6 +36,23 @@ def tensor_instance(values, weights=None, sense="min"):
                             CostSpec("tensor", sense, {"values": values}))
 
 
+def twin_surplus_instance(seed, n=8):
+    """Three-axis surplus instance whose last axis holds two cost twins.
+
+    The first two axes lie in the plane z = 0, and the last axis's final
+    atom is its first atom lifted to z = 1, so both atoms have the same cost
+    slice: every optimal plan can trade their mass, and the pair reduction
+    against the last axis is non-unique for every optimal dual.
+    """
+    rng = np.random.default_rng(seed)
+    points = [np.column_stack([rng.uniform(-1, 1, (n, 2)), np.zeros(n)])
+              for _ in range(3)]
+    points[2][-1] = points[2][0] + [0.0, 0.0, 1.0]
+    spaces = [Space(f"X{k}", p) for k, p in enumerate(points)]
+    measures = [DiscreteMeasure(s, np.ones(n) / n) for s in spaces]
+    return DiscreteInstance(spaces, measures, CostSpec("surplus", "max"))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

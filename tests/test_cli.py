@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from momt.cli import instance_to_dict, load_instance_dict, main
+from momt.cli import _worker_count, instance_to_dict, load_instance_dict, main
+from momt.errors import SchemaError
 from momt.serialize import dump_text, format_float
 
 TWO_BY_TWO = {
@@ -121,6 +123,44 @@ def test_diagnose_zero_cost_flags_non_unique(tmp_path, capsys):
 
 def test_scenario_unknown_kind_exit_2(capsys):
     assert main(["scenario", "warp"]) == 2
+
+
+def test_scenario_bad_thread_count_exit_2(monkeypatch, capsys):
+    # rejected before any worker process starts
+    monkeypatch.setenv("MOMT_THREADS", "abc")
+    assert main(["scenario", "gw", "--seeds", "1,2"]) == 2
+    assert "MOMT_THREADS" in capsys.readouterr().err
+    monkeypatch.delenv("MOMT_THREADS")
+    assert main(["scenario", "gw", "--seeds", "1,x"]) == 2
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    cores = os.cpu_count() or 1
+    for text, jobs, expected in [("0", 5, 1), ("-3", 5, 1), ("1", 5, 1),
+                                 (str(10**9), 10**6, cores), (str(10**9), 2, min(2, cores)),
+                                 (" 2 ", 10**6, min(2, cores))]:
+        monkeypatch.setenv("MOMT_THREADS", text)
+        assert _worker_count(jobs) == expected, text
+    monkeypatch.delenv("MOMT_THREADS")
+    assert _worker_count(10**6) == cores
+
+
+def test_mixed_point_dimensions_exit_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(THREE_MARGINAL))
+    doc["spaces"][2]["points"] = [[0.5], [0.0], [1.0]]
+    with pytest.raises(SchemaError):
+        load_instance_dict(doc)
+    assert main(["solve", _write(tmp_path, doc)]) == 2
+    assert "dimension" in capsys.readouterr().err
+    # a tensor cost does not read the points, so their dimensions may differ
+    doc["cost"] = {"tensor": np.zeros((3, 3, 3)).tolist()}
+    load_instance_dict(doc)
+    # the two-marginal quadratic cost needs a matrix of the points' dimension
+    gw = json.loads(json.dumps(TWO_BY_TWO))
+    gw["cost"] = {"builtin": "gromovWasserstein", "xi": 1.0, "A": np.eye(3).tolist()}
+    assert main(["solve", _write(tmp_path, gw)]) == 2
+    gw["cost"]["A"] = [[2.0]]
+    assert main(["solve", _write(tmp_path, gw)]) == 0
 
 
 def test_scenario_writes_report_and_csv(tmp_path):

@@ -20,7 +20,7 @@ from momt.reduction import (
     reduce_chain,
     verify_reduction_optimality,
 )
-from conftest import random_instance, tensor_instance
+from conftest import random_instance, tensor_instance, twin_surplus_instance
 
 
 def test_subset_validation():
@@ -182,9 +182,10 @@ def test_reconstruction_trivial_singletons():
 
 
 def test_reconstruction_reports_non_unique_reductions():
-    # a seed whose pair problem has a fat optimal face: the assembly stays
-    # feasible and optimal but the certificate withholds the identity claim
-    inst = _gs_instance(6)
+    # twin atoms on the last axis give the pair problem a fat optimal face
+    # for every optimal dual: the assembly stays feasible and optimal but
+    # the certificate withholds the identity claim
+    inst = twin_surplus_instance(6)
     res = lp.solve(inst)
     assembled, report = reconstruct_from_pair_reductions(inst, res.potentials, 2,
                                           reference_plan=res.plan)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momt import lp
+from momt import lp, scenarios
 from momt.errors import InvariantViolation, UnknownScenario
 from momt.scenarios import (
     NormalField,
@@ -12,6 +12,7 @@ from momt.scenarios import (
     run_scenario,
 )
 from momt.serialize import dump_text
+from conftest import twin_surplus_instance
 
 
 def test_unknown_kind_rejected():
@@ -162,11 +163,25 @@ def test_gs_four_axes():
     assert sorted(report["checks"]["reduced_graph"]) == ["1", "2", "3"]
 
 
-def test_gs_degenerate_seed_is_flagged_not_failed():
+def test_gs_degenerate_seed_is_flagged_not_failed(monkeypatch):
+    # twin atoms on the last axis make the pair reduction against it
+    # non-unique for every optimal dual, not just for one pivot path's
+    monkeypatch.setattr(scenarios, "gen_gangbo_swiech",
+                        lambda config: twin_surplus_instance(config.seed,
+                                                             config.sizes[0]))
     report = run_scenario(ScenarioConfig("gs", seed=6, sizes=(8,)))
     assert report["checks"]["degenerate_flag"]
     assert not report["passed"]
     assert report["checks"]["reconstruction"]["hypothesis_unique"]["2"] is False
+
+
+def test_gs_generic_seeds_pass():
+    # every seed has a unique optimum that is a graph; the strictly
+    # complementary potentials keep every pair reduction unique too
+    for seed in range(12):
+        report = run_scenario(ScenarioConfig("gs", seed=seed, sizes=(6,)))
+        assert report["passed"], seed
+        assert not report["checks"]["degenerate_flag"], seed
 
 
 def test_mq_run_generic():
