@@ -93,7 +93,7 @@ def load_instance_dict(doc: dict) -> DiscreteInstance:
                             {"values": np.asarray(cost_doc["tensor"], dtype=float)})
         elif "builtin" in cost_doc:
             kind = cost_doc["builtin"]
-            if kind not in BUILTIN_KINDS or kind in ("tensor", "custom"):
+            if kind not in BUILTIN_KINDS or kind == "tensor":
                 raise SchemaError("cost.builtin", f"unknown builtin {kind!r}")
             params = {}
             if kind == "gromovWasserstein":

@@ -34,7 +34,6 @@ BUILTIN_KINDS = (
     "gangboSwiech",
     "mongeQuadratic",
     "gromovWasserstein",
-    "custom",
 )
 
 
@@ -45,8 +44,7 @@ class CostSpec:
     gromovWasserstein carries params {"xi": float, "A": (n, n) array} and
     evaluates the raw surplus |x|^2 |y|^2 + xi <Ax, y>; solving it as a
     maximization is the negated form of the usual minimization objective.
-    tensor carries {"values": ndarray} of the full arity; custom carries
-    {"fn": callable(points) -> float}.
+    tensor carries {"values": ndarray} of the full arity.
     """
 
     kind: str
@@ -112,8 +110,6 @@ def evaluate(spec: CostSpec, points: list[np.ndarray]) -> float:
         A = np.asarray(spec.params["A"], dtype=float)
         xi = float(spec.params["xi"])
         return float(np.dot(x, x) * np.dot(y, y) + xi * np.dot(A @ x, y))
-    if spec.kind == "custom":
-        return float(spec.params["fn"](points))
     raise InvariantViolation(f"cost kind {spec.kind!r} has no pointwise evaluation")
 
 

@@ -10,11 +10,12 @@ the first partition block the fiber meets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
+from math import comb, factorial
 
 import numpy as np
 
-from .errors import InvariantViolation, SingularMatrix, ZeroXi
+from .errors import InstanceTooLarge, InvariantViolation, SingularMatrix, ZeroXi
 from .measure import Coupling
 from .tolerances import MASS_FLOOR, STORAGE_TOL
 
@@ -23,12 +24,31 @@ from .tolerances import MASS_FLOOR, STORAGE_TOL
 # cyclical monotonicity
 # ---------------------------------------------------------------------------
 
+_GAIN_BLOCK = 4096               # cycle gains priced per numpy pass
+_MAX_CYCLE_TUPLES = 2 ** 30      # cap on the exhaustive (subset, permutation tuple) count
+
+
 @dataclass
 class MonotonicityReport:
     passed: bool
     checked_exhaustive: int
     checked_sampled: int
     violation: tuple | None = None      # (points, permutation tuple, slack)
+
+
+def exhaustive_cycle_count(n_points: int, n_axes: int, max_cycle: int) -> int:
+    """Subsets of 2..max_cycle points times their non-identity permutation
+    tuples: sum over M of C(n_points, M) * ((M!)^(n_axes - 1) - 1)."""
+    return sum(comb(n_points, M) * (factorial(M) ** (n_axes - 1) - 1)
+               for M in range(2, min(max_cycle, n_points) + 1))
+
+
+def _gain_thresholds(cost_grid, tol):
+    """Per cycle size M: `tol` times the cost's span plus the rounding floor
+    of two M-term sums at the cost's magnitude."""
+    span = float(np.ptp(cost_grid))
+    peak = float(np.abs(cost_grid).max())
+    return lambda M: tol * span + 2 * M * np.spacing(M * peak)
 
 
 def _cycle_gain(points, perms, cost_grid, sign):
@@ -45,45 +65,96 @@ def _cycle_gain(points, perms, cost_grid, sign):
     return sign * (base - permuted)
 
 
+def _scan_cycles(support, cells, flat_cost, M, n_axes, sign, threshold):
+    """Price every M-point subset against every permutation tuple, in blocks.
+
+    Subsets come in `combinations` order; tuples index the permutations of
+    axes 1..N-1 as digits of one number, axis 1 fastest, and tuple 0 (all
+    identities) is skipped.  Sums run left to right as in `_cycle_gain`, so
+    every gain is bit-identical to it.  Returns the count checked up to and
+    including the first gain above `threshold`, and that violation or None.
+    """
+    perms = list(permutations(range(M)))
+    perm_rows = np.array(perms, dtype=np.intp)
+    n_tuples = len(perms) ** (n_axes - 1) - 1
+    if n_tuples == 0:
+        return 0, None
+    per_pass = min(n_tuples, _GAIN_BLOCK)
+    subsets = combinations(range(len(support)), M)
+    checked = 0
+    while True:
+        chunk = np.array(list(islice(subsets, max(1, _GAIN_BLOCK // n_tuples))),
+                         dtype=np.intp)
+        if not len(chunk):
+            return checked, None
+        parts = cells[chunk]                     # (subsets, M, axes) flat offsets
+        home = parts.sum(axis=2)
+        base = np.zeros(len(chunk))
+        for m in range(M):
+            base += flat_cost[home[:, m]]
+        for start in range(1, n_tuples + 1, per_pass):
+            digits = np.arange(start, min(start + per_pass, n_tuples + 1))
+            at = parts[:, None, :, 0]
+            for axis in range(1, n_axes):
+                at = at + parts[:, perm_rows[digits % len(perms)], axis]
+                digits = digits // len(perms)
+            permuted = np.zeros(at.shape[:2])
+            for m in range(M):
+                permuted += flat_cost[at[:, :, m]]
+            gains = sign * (base[:, None] - permuted)
+            hits = np.flatnonzero(gains > threshold)
+            if hits.size:
+                i, j = divmod(int(hits[0]), gains.shape[1])
+                t = start + j
+                tail = []
+                for _ in range(1, n_axes):
+                    t, digit = divmod(t, len(perms))
+                    tail.append(perms[digit])
+                points = tuple(support[p] for p in chunk[i])
+                return (checked + i * n_tuples + start + j,
+                        (points, (None, *tail), gains[i, j]))
+        checked += len(chunk) * n_tuples
+
+
 def check_cyclical_monotonicity(support, cost_grid: np.ndarray, sense: str = "min",
                                 max_cycle: int = 3, samples: int = 50,
                                 seed: int = 0, tol: float = 1e-9) -> MonotonicityReport:
     """Test all small support subsets against all per-axis permutation tuples.
 
     Axis 0 stays fixed (relabeling makes that lossless); axes 1..N-1 range
-    over all permutations of the chosen points.  Beyond max_cycle, `samples`
-    random larger subsets are tried with random permutation tuples.
+    over all permutations of the chosen points, so the exhaustive phase
+    prices `exhaustive_cycle_count(len(support), N, max_cycle)` cycles, in
+    fixed-size numpy blocks; above 2**30 it raises InstanceTooLarge rather
+    than start.  Beyond max_cycle, `samples` random larger subsets are
+    tried with random permutation tuples.  A cycle of M points violates
+    monotonicity when its gain exceeds `tol` times the cost's span plus the
+    rounding floor of two M-term sums at the cost's magnitude, so scaling
+    or shifting the cost does not change the answer.  The violation
+    reported is the first in enumeration order.
     """
     if max_cycle < 2:
         raise InvariantViolation("max_cycle must be at least 2")
     support = sorted(tuple(p) for p in support)
     n_axes = cost_grid.ndim
     sign = 1.0 if sense == "min" else -1.0
+    total = exhaustive_cycle_count(len(support), n_axes, max_cycle)
+    if total > _MAX_CYCLE_TUPLES:
+        raise InstanceTooLarge(
+            f"cycle enumeration would price {total} permutation tuples, "
+            f"cap is {_MAX_CYCLE_TUPLES}; lower max_cycle"
+        )
+    flat_cost = np.ascontiguousarray(cost_grid, dtype=float).reshape(-1)
+    strides = np.array([int(np.prod(cost_grid.shape[k + 1:])) for k in range(n_axes)],
+                       dtype=np.intp)
+    cells = np.array(support, dtype=np.intp).reshape(len(support), n_axes) * strides
+    threshold = _gain_thresholds(cost_grid, tol)
     checked = 0
-
-    def all_perm_tuples(M):
-        per_axis = list(permutations(range(M)))
-        def rec(axis):
-            if axis == n_axes:
-                yield ()
-                return
-            for tail in rec(axis + 1):
-                for p in per_axis:
-                    yield (p,) + tail
-        for tail in rec(1):
-            yield (None,) + tail
-
     for M in range(2, min(max_cycle, len(support)) + 1):
-        for points in combinations(support, M):
-            identity = tuple(range(M))
-            for perms in all_perm_tuples(M):
-                if all(p is None or p == identity for p in perms):
-                    continue
-                checked += 1
-                gain = _cycle_gain(points, perms, cost_grid, sign)
-                if gain > tol:
-                    return MonotonicityReport(False, checked, 0,
-                                              (points, perms, gain))
+        count, violation = _scan_cycles(support, cells, flat_cost, M, n_axes, sign,
+                                        threshold(M))
+        checked += count
+        if violation is not None:
+            return MonotonicityReport(False, checked, 0, violation)
 
     rng = np.random.default_rng(seed)
     sampled = 0
@@ -97,7 +168,7 @@ def check_cyclical_monotonicity(support, cost_grid: np.ndarray, sense: str = "mi
             )
             sampled += 1
             gain = _cycle_gain(points, perms, cost_grid, sign)
-            if gain > tol:
+            if gain > threshold(M):
                 return MonotonicityReport(False, checked, sampled,
                                           (points, perms, gain))
     return MonotonicityReport(True, checked, sampled)

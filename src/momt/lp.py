@@ -126,7 +126,6 @@ class PolytopeModel:
         self.b_full = b_full
 
     def _independent_rows(self, A_full):
-        n_rows = A_full.shape[0]
         single_axis = all(len(c.axes) == 1 for c in self.constraints)
         covers = sorted(a for c in self.constraints for a in c.axes)
         if single_axis and covers == list(range(len(self.arities))):
@@ -145,16 +144,7 @@ class PolytopeModel:
             raise InstanceTooLarge(
                 "general constraint systems are limited to 20000 grid cells"
             )
-        keep, basis = [], []
-        for r in range(n_rows):
-            v = A_full[r].astype(float)
-            for u in basis:
-                v = v - (u @ A_full[r]) * u
-            norm = np.linalg.norm(v)
-            if norm > 1e-9 * (1.0 + np.linalg.norm(A_full[r])):
-                basis.append(v / norm)
-                keep.append(r)
-        return keep
+        return _spanning_rows(A_full)
 
     def check_feasible(self, plan: Coupling, tol: float = 1e-8):
         """Raise MarginalMismatch if the plan violates any constraint block."""
@@ -165,6 +155,26 @@ class PolytopeModel:
 
     def columns(self, cols) -> np.ndarray:
         return self.A[:, cols]
+
+
+def _spanning_rows(A, b=None) -> list[int]:
+    """Greedy Gram-Schmidt: the rows of A not in the span of earlier kept rows.
+
+    With `b`, a dropped row must be implied, so its right-hand side must
+    vanish; a large one means infeasibility.
+    """
+    keep, basis = [], []
+    for r in range(A.shape[0]):
+        v = A[r].astype(float)
+        for u in basis:
+            v = v - (u @ A[r]) * u
+        norm = np.linalg.norm(v)
+        if norm > 1e-9 * (1.0 + np.linalg.norm(A[r])):
+            basis.append(v / norm)
+            keep.append(r)
+        elif b is not None and abs(b[r]) > 1e-9:
+            raise SolverError("zero-support row with positive mass requirement")
+    return keep
 
 
 def standard_model(measures: list[DiscreteMeasure], grid_cap=DEFAULT_GRID_CAP,
@@ -609,18 +619,7 @@ def _presolve_zero_cells(A, b):
             forced |= A[r] > 1e-9
     keep_cols = np.flatnonzero(~forced)
     A2 = A[:, keep_cols]
-    keep_rows, basis = [], []
-    for r in range(A2.shape[0]):
-        v = A2[r].astype(float)
-        for u in basis:
-            v = v - (u @ A2[r]) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-9 * (1.0 + np.linalg.norm(A2[r])):
-            basis.append(v / norm)
-            keep_rows.append(r)
-        elif abs(b[r]) > 1e-9:
-            # a dropped row must be implied; a large rhs means infeasibility
-            raise SolverError("zero-support row with positive mass requirement")
+    keep_rows = _spanning_rows(A2, b)
     return A2[keep_rows], b[keep_rows], keep_cols
 
 
@@ -737,14 +736,21 @@ def uniqueness_certificate(instance: DiscreteInstance, primal: Coupling,
                            value: float) -> UniquenessCertificate:
     """Probe the optimal face with deterministic secondary objectives.
 
-    The face {cost . x = value} is swept by two fixed random directions, each
-    minimized and maximized; the solution is certified unique when every
-    probe optimum coincides with the primal in total variation.
+    The face is cut out by one extra row: the cost normalised as in `solve`
+    (minimum 0, span 1) at the primal plan's value on that normalised cost,
+    so the row, its right-hand side and the probe LPs are the same whatever
+    the cost's scale or shift.  `value` is kept for the signature; the
+    right-hand side is taken from `primal`.  The face is swept by two fixed
+    random directions, each minimized and maximized; the solution is
+    certified unique when every probe optimum coincides with the primal in
+    total variation.
     """
     grid = instance.cost_grid().reshape(-1)
-    model = standard_model(
-        instance.measures, extra_rows=[(grid, float(value))]
-    )
+    low = float(grid.min())
+    span = float(grid.max() - low) or 1.0
+    row = (grid - low) / span
+    level = float(row @ primal.to_dense().reshape(-1))
+    model = standard_model(instance.measures, extra_rows=[(row, level)])
     rng = np.random.default_rng(_PROBE_SEED)
     n = model.n_cols
     max_tv = 0.0

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import momt
 from momt.cli import _worker_count, instance_to_dict, load_instance_dict, main
 from momt.errors import SchemaError
 from momt.serialize import dump_text, format_float
@@ -36,6 +37,13 @@ def _write(tmp_path, doc, name="inst.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _cli_env(**extra):
+    """The environment for a `python -m momt.cli` child that imports this momt."""
+    src = os.path.dirname(os.path.dirname(momt.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def test_solve_writes_result(tmp_path, capsys):
@@ -121,6 +129,30 @@ def test_diagnose_zero_cost_flags_non_unique(tmp_path, capsys):
     assert out["certificates"]["uniqueness"]["witness"]
 
 
+def test_diagnose_refuses_a_cycle_enumeration_above_the_cap(tmp_path):
+    # 8-point cycles over at least 8 support cells of a 3-axis plan would be
+    # more than 2**30 permutation tuples (13 cells: about 2.1e12); the child
+    # must exit 3 before pricing any of them
+    rng = np.random.default_rng(1)
+    doc = {"version": 1,
+           "spaces": [{"name": f"X{k}", "points": np.arange(5.0)[:, None].tolist()}
+                      for k in range(3)],
+           "weights": [rng.dirichlet(np.ones(5)).tolist() for _ in range(3)],
+           "cost": {"tensor": rng.uniform(0, 1, (5, 5, 5)).tolist()},
+           "sense": "min"}
+    path = _write(tmp_path, doc)
+    out = tmp_path / "out.json"
+    assert main(["solve", path, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["support"]) >= 8
+    cmd = [sys.executable, "-m", "momt.cli", "diagnose", path, "--max-cycle", "8"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=_cli_env(),
+                          timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("solver error:") and "cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_scenario_unknown_kind_exit_2(capsys):
     assert main(["scenario", "warp"]) == 2
 
@@ -183,7 +215,7 @@ def test_scenario_writes_report_and_csv(tmp_path):
 
 
 def test_scenario_batch_is_deterministic(tmp_path):
-    env = dict(os.environ, MOMT_THREADS="2")
+    env = _cli_env(MOMT_THREADS="2")
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag

@@ -1,22 +1,28 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momt import lp
-from momt.errors import SingularMatrix, ZeroXi
+from momt import extremality, lp
+from momt.errors import InstanceTooLarge, SingularMatrix, ZeroXi
 from momt.extremality import (
+    MonotonicityReport,
     NotDecomposable,
     OrderedPartition,
+    _cycle_gain,
+    _gain_thresholds,
     check_c_extreme,
     check_cyclical_monotonicity,
     detect_map_decomposition,
+    exhaustive_cycle_count,
     fiber_report,
     gw_second_solution,
     gw_twist_count,
 )
 from momt.measure import Coupling
-from conftest import random_instance
+from conftest import random_instance, tensor_instance
 
 
 # -- cyclical monotonicity ------------------------------------------------------
@@ -54,6 +60,165 @@ def test_sampled_long_cycles_run():
                                          seed=4)
     assert report.passed
     assert report.checked_sampled > 0
+
+
+def _reference_monotonicity(support, cost_grid, sense, max_cycle, tol):
+    """The exhaustive phase as one `_cycle_gain` call per tuple (the oracle)."""
+    support = sorted(tuple(p) for p in support)
+    n_axes = cost_grid.ndim
+    sign = 1.0 if sense == "min" else -1.0
+    threshold = _gain_thresholds(cost_grid, tol)
+    checked = 0
+
+    def all_perm_tuples(M):
+        per_axis = list(permutations(range(M)))
+        def rec(axis):
+            if axis == n_axes:
+                yield ()
+                return
+            for tail in rec(axis + 1):
+                for p in per_axis:
+                    yield (p,) + tail
+        for tail in rec(1):
+            yield (None,) + tail
+
+    for M in range(2, min(max_cycle, len(support)) + 1):
+        identity = tuple(range(M))
+        for points in combinations(support, M):
+            for perms in all_perm_tuples(M):
+                if all(p is None or p == identity for p in perms):
+                    continue
+                checked += 1
+                gain = _cycle_gain(points, perms, cost_grid, sign)
+                if gain > threshold(M):
+                    return MonotonicityReport(False, checked, 0, (points, perms, gain))
+    return MonotonicityReport(True, checked, 0)
+
+
+def _assert_same_report(got, want):
+    assert (got.passed, got.checked_exhaustive, got.checked_sampled) == (
+        want.passed, want.checked_exhaustive, want.checked_sampled)
+    if want.violation is None:
+        assert got.violation is None
+        return
+    assert got.violation[:2] == want.violation[:2]
+    assert np.float64(got.violation[2]).tobytes() == np.float64(want.violation[2]).tobytes()
+
+
+@st.composite
+def _cycle_cases(draw):
+    n_axes = draw(st.integers(2, 4))
+    shape = tuple(draw(st.lists(st.integers(2, 4), min_size=n_axes, max_size=n_axes)))
+    # few distinct values, so ties and zero gains are common; an irrational
+    # scale and an offset make the sums round
+    codes = draw(st.lists(st.integers(0, 3), min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    scale = draw(st.sampled_from([1.0, 0.1, np.pi, 1e-3]))
+    offset = draw(st.sampled_from([0.0, 0.7, -2.5]))
+    grid = np.asarray(codes, dtype=float).reshape(shape) * scale + offset
+    max_cycle = draw(st.integers(2, 4))
+    cells = [tuple(int(i) for i in t) for t in np.ndindex(*shape)]
+    size = 1
+    while (size < len(cells)
+           and exhaustive_cycle_count(size + 1, n_axes, max_cycle) <= 3000):
+        size += 1
+    support = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=size,
+                            unique=True))
+    return (grid, support, draw(st.sampled_from(["min", "max"])), max_cycle,
+            draw(st.sampled_from([0.0, 1e-9, 0.05, 0.3, 1.0])),
+            draw(st.sampled_from([1, 7, extremality._GAIN_BLOCK])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cycle_cases())
+def test_blocked_enumeration_matches_per_tuple_loop(case):
+    grid, support, sense, max_cycle, tol, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extremality, "_GAIN_BLOCK", block)
+        got = check_cyclical_monotonicity(support, grid, sense=sense,
+                                          max_cycle=max_cycle, samples=0, tol=tol)
+    _assert_same_report(got, _reference_monotonicity(support, grid, sense,
+                                                     max_cycle, tol))
+
+
+def test_blocks_split_at_subset_and_tuple_boundaries(monkeypatch):
+    # 13 support cells of a 4-axis grid: 78 pairs x 7 tuples + 286 triples x
+    # 215 tuples; blocks of 7 take one subset of pairs per pass and split the
+    # triples' tuples, blocks of 1 split everything
+    rng = np.random.default_rng(3)
+    grid = rng.uniform(0.0, 1.0, (3, 3, 3, 3))
+    cells = [tuple(int(i) for i in t) for t in np.ndindex(3, 3, 3, 3)]
+    support = [cells[i] for i in rng.choice(len(cells), 13, replace=False)]
+    assert exhaustive_cycle_count(13, 4, 3) == 62_036
+    for sense in ("min", "max"):
+        want = _reference_monotonicity(support, grid, sense, 3, 1e-9)
+        assert not want.passed
+        for block in (1, 7, 100, 4096):
+            monkeypatch.setattr(extremality, "_GAIN_BLOCK", block)
+            got = check_cyclical_monotonicity(support, grid, sense=sense, samples=0)
+            _assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("seed", [161, 554, 1474, 1979])
+def test_three_cycle_violation_keeps_the_loop_gain_bits(seed, monkeypatch):
+    # supports whose first violation is a 3-cycle whose gain rounds
+    # differently when the sums run in another order
+    rng = np.random.default_rng(seed)
+    grid = rng.uniform(-1, 1, (3, 3, 3)) * np.pi + 0.7
+    cells = [tuple(int(i) for i in t) for t in np.ndindex(3, 3, 3)]
+    support = [cells[i] for i in rng.choice(27, 3, replace=False)]
+    want = _reference_monotonicity(support, grid, "min", 3, 1e-9)
+    assert len(want.violation[0]) == 3
+    for block in (1, 7, 4096):
+        monkeypatch.setattr(extremality, "_GAIN_BLOCK", block)
+        _assert_same_report(check_cyclical_monotonicity(support, grid, samples=0), want)
+
+
+def test_exhaustive_count_is_the_closed_form():
+    grid = np.zeros((3, 3, 3, 3))
+    support = [tuple(int(i) for i in t) for t in np.ndindex(3, 3, 3, 3)][:13]
+    report = check_cyclical_monotonicity(support, grid, max_cycle=3, samples=0)
+    assert report.passed
+    assert report.checked_exhaustive == exhaustive_cycle_count(13, 4, 3) == 62_036
+    report = check_cyclical_monotonicity(support, grid, max_cycle=3, samples=7)
+    assert (report.checked_exhaustive, report.checked_sampled) == (62_036, 7)
+    assert exhaustive_cycle_count(5, 2, 4) == 10 * 1 + 10 * 5 + 5 * 23
+    assert exhaustive_cycle_count(1, 3, 3) == 0
+
+
+def test_cycle_enumeration_above_the_cap_refuses_to_start():
+    # about 2.1e12 tuples: the count is refused before anything is priced
+    support = [(i, i, i) for i in range(13)]
+    assert exhaustive_cycle_count(13, 3, 8) > extremality._MAX_CYCLE_TUPLES
+    with pytest.raises(InstanceTooLarge):
+        check_cyclical_monotonicity(support, np.zeros((13, 13, 13)), max_cycle=8)
+
+
+def _tensor_pair(seed):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, 1.0, (6, 6, 6))
+    weights = [rng.dirichlet(np.ones(6)) for _ in range(3)]
+    optimal = lp.solve(tensor_instance(base, weights)).plan.support()
+    # the maximizer's support is a cycle-violating support for the minimum
+    worst = lp.solve(tensor_instance(base, weights, "max")).plan.support()
+    return base, optimal, worst
+
+
+@pytest.mark.parametrize("scale,shift", [(1e12, 0.0), (1e-12, 0.0),
+                                         (1.0, 1e9), (1.0, -1e9)])
+def test_monotonicity_ignores_cost_scale_and_shift(scale, shift):
+    for seed in range(3):
+        base, optimal, worst = _tensor_pair(seed)
+        moved = base * scale + shift
+        for support in (optimal, worst):
+            want = check_cyclical_monotonicity(support, base)
+            got = check_cyclical_monotonicity(support, moved)
+            assert got.passed == want.passed, seed
+            assert got.checked_exhaustive == want.checked_exhaustive, seed
+            if want.violation is not None:
+                assert got.violation[:2] == want.violation[:2], seed
+        assert check_cyclical_monotonicity(optimal, moved).passed
+        assert not check_cyclical_monotonicity(worst, moved).passed
 
 
 # -- fibers and extremality -----------------------------------------------------

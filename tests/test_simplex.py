@@ -140,6 +140,40 @@ def test_scaled_or_shifted_cost_keeps_the_optimum(scale, shift):
             DUAL_FEAS_TOL * span + 3 * np.spacing(np.abs(moved.cost_grid()).max()))
 
 
+def _twin_tensor(rng, n=5):
+    """Tensor cost whose axis-1 atoms 0 and 1 have identical cost slices.
+
+    The twins weigh 1/3 each and every axis-0 atom less than 2/3, so no
+    vertex can give both twins one fiber: swapping them in an optimal plan
+    gives a second optimal plan, and the optimum is never unique.
+    """
+    values = rng.uniform(0.0, 1.0, (n, n, n))
+    values[:, 1] = values[:, 0]
+    weights = [rng.dirichlet(np.ones(n)) for _ in range(3)]
+    weights[1] = np.r_[1 / 3, 1 / 3, weights[1][2:] / weights[1][2:].sum() / 3]
+    weights[0] = (weights[0] + 1.0 / n) / 2
+    return values, weights
+
+
+@pytest.mark.parametrize("scale,shift", [(1e12, 0.0), (1e-10, 0.0),
+                                         (1.0, 1e9), (1.0, -1e9)])
+def test_uniqueness_certificate_ignores_cost_scale_and_shift(scale, shift):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        unique = rng.uniform(0.0, 1.0, (5, 5, 5))
+        weights = [rng.dirichlet(np.ones(5)) for _ in range(3)]
+        twin, twin_weights = _twin_tensor(rng)
+        for values, w, status in ((unique, weights, "unique"),
+                                  (twin, twin_weights, "non-unique")):
+            for sense in ("min", "max"):
+                inst = tensor_instance(values * scale + shift, w, sense)
+                res = lp.solve(inst)
+                cert = lp.uniqueness_certificate(inst, res.plan, res.value)
+                assert cert.status == status, (seed, sense)
+                if status == "non-unique":
+                    assert cert.witness.total_variation(res.plan) > 1e-6
+
+
 # -- strictly complementary potentials ----------------------------------------------
 
 def test_unique_optimum_has_the_support_as_minimizing_set():
