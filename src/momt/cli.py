@@ -251,7 +251,7 @@ def cmd_diagnose(args) -> int:
     split = (tuple(range(n - 1)), (n - 1,))
     freport = fiber_report(res.plan.support(), instance.cost_grid(), split)
     extreme = check_c_extreme(freport)
-    cert = lp.uniqueness_certificate(instance, res.plan, res.value)
+    cert = lp.uniqueness_certificate(instance, res)
     active = lp.minimizing_set(instance, res.potentials)
     certificates = {
         "cyclically_monotone": bool(mono.passed),

@@ -8,7 +8,10 @@ refactorised at a fixed interval and before optimality is declared.
 `solve` starts from an N-marginal north-west-corner staircase basis (no
 phase 1) on the cost normalised to minimum 0 and span 1, and returns a
 basic (vertex) plan with strictly complementary potentials: their active
-set is the union of all optimal supports, whatever the pivot path.
+set is the union of all optimal supports, whatever the pivot path.  The
+face LP that makes them so also decides uniqueness: it either proves the
+vertex the only optimal plan or returns a second optimal vertex, which
+`uniqueness_certificate` turns into a witness without an LP of its own.
 General polytopes (`solve_model`) start with a phase 1 over artificials.
 Maximization instances are negated internally and the sense is restored in
 all reported quantities.  Everything is deterministic.
@@ -48,7 +51,6 @@ from .tolerances import (
 DEFAULT_GRID_CAP = 200_000
 ORACLE_GRID_CAP = 81
 ORACLE_ATOM_CAP = 12
-_PROBE_SEED = 91217  # fixed: uniqueness probes must be reproducible
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class PolytopeModel:
     mass).  General systems fall back to a greedy numeric selection.
     """
 
-    def __init__(self, arities, constraints, extra_rows=(), grid_cap=DEFAULT_GRID_CAP):
+    def __init__(self, arities, constraints, grid_cap=DEFAULT_GRID_CAP):
         self.arities = tuple(int(n) for n in arities)
         self.n_cols = int(np.prod(self.arities))
         if self.n_cols > grid_cap:
@@ -81,7 +83,6 @@ class PolytopeModel:
                 f"grid has {self.n_cols} cells, cap is {grid_cap}"
             )
         self.constraints = list(constraints)
-        self.extra_rows = [(np.asarray(r, dtype=float), float(v)) for r, v in extra_rows]
         self._build()
 
     def _build(self):
@@ -106,22 +107,8 @@ class PolytopeModel:
 
         keep = self._independent_rows(A_full)
         self.kept = keep
-        A = A_full[keep]
-        b = b_full[keep]
-        for row, val in self.extra_rows:
-            if row.shape != (self.n_cols,):
-                raise InvariantViolation("extra row has wrong length")
-            if val < 0:
-                row, val = -row, -val
-            coeff, _res, *_ = np.linalg.lstsq(A.T, row, rcond=None)
-            residual = row - A.T @ coeff
-            if np.abs(residual).max() > 1e-9 * (1.0 + np.abs(row).max()):
-                A = np.vstack([A, row])
-                b = np.append(b, val)
-            elif abs(coeff @ b - val) > 1e-7 * (1.0 + abs(val)):
-                raise SolverError("extra equality row is inconsistent with the polytope")
-        self.A = A
-        self.b = b
+        self.A = A_full[keep]
+        self.b = b_full[keep]
         self.A_full = A_full
         self.b_full = b_full
 
@@ -177,11 +164,11 @@ def _spanning_rows(A, b=None) -> list[int]:
     return keep
 
 
-def standard_model(measures: list[DiscreteMeasure], grid_cap=DEFAULT_GRID_CAP,
-                   extra_rows=()) -> PolytopeModel:
+def standard_model(measures: list[DiscreteMeasure],
+                   grid_cap=DEFAULT_GRID_CAP) -> PolytopeModel:
     arities = tuple(m.size for m in measures)
     cons = [MarginalConstraint((k,), m.weights) for k, m in enumerate(measures)]
-    return PolytopeModel(arities, cons, extra_rows=extra_rows, grid_cap=grid_cap)
+    return PolytopeModel(arities, cons, grid_cap=grid_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +419,9 @@ class SolveResult:
     iterations: int = 0
     duality_gap: float = 0.0
     slack_residual: float = 0.0
+    # another optimal vertex (flattened grid, on active cells only, as the
+    # face LP of `solve` enters no other); None proves the plan unique
+    second_vertex: np.ndarray | None = None
 
     def __iter__(self):
         return iter((self.plan, self.potentials, self.value))
@@ -478,11 +468,12 @@ def _staircase_basis(measures: list[DiscreteMeasure]) -> list[int]:
 def _strictly_complementary(A, b, c, x, y, state):
     """Move optimal duals y onto the relative interior of the dual face.
 
-    Cells priced within ACTIVE_TOL may carry optimal mass.  A face LP over
-    them, warm-started from the optimal basis, maximizes the mass off the
-    cells known to be in some optimal support.  A positive optimum is
-    another optimal plan: its support joins the known cells and the face LP
-    runs again.  A zero optimum proves the known cells are the union of all
+    Returns them with the first positive face-LP solution, or None.  Cells
+    priced within ACTIVE_TOL may carry optimal mass.  A face LP over them,
+    warm-started from the optimal basis, maximizes the mass off the cells
+    known to be in some optimal support.  A positive optimum is another
+    optimal plan: its support joins the known cells and the face LP runs
+    again.  A zero optimum proves the known cells are the union of all
     optimal supports; the face LP's dual psi then prices every other active
     cell at -1 or less and the known cells at 0, so the step y + eps * psi
     makes them inactive without changing the dual value.  eps is the largest
@@ -492,14 +483,17 @@ def _strictly_complementary(A, b, c, x, y, state):
     known = x > MASS_FLOOR
     reduced = c - y @ A
     active = reduced <= ACTIVE_TOL
+    second = None
     while True:
         off = active & ~known
         if not off.any():
-            return y
+            return y, second
         face = -off.astype(float)
         xB, psi = _pivot_loop(A, b, face, state, active)
         xf = _basic_solution(xB, state, A.shape[1])
         if xf[off].sum() > _FACE_MASS_TOL:
+            if second is None:
+                second = xf
             known |= off & (xf > MASS_FLOOR)
             continue
         a = psi @ A
@@ -508,7 +502,7 @@ def _strictly_complementary(A, b, c, x, y, state):
         eps = 1.0 / freed
         if blocking.any():
             eps = min(eps, float((reduced[blocking] / (freed + a[blocking])).min()))
-        return y + eps * psi
+        return y + eps * psi, second
 
 
 def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> SolveResult:
@@ -533,7 +527,7 @@ def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> Solve
     state = _SimplexState(basis=_staircase_basis(instance.measures))
     xB, y = _pivot_loop(model.A, model.b, c, state, np.ones(model.n_cols, dtype=bool))
     x = _basic_solution(xB, state, model.n_cols)
-    y = _strictly_complementary(model.A, model.b, c, x, y, state)
+    y, second = _strictly_complementary(model.A, model.b, c, x, y, state)
 
     residual = np.abs(model.A_full @ x - model.b_full).max()
     if residual > 1e-8:
@@ -559,7 +553,8 @@ def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> Solve
     slack_res = float(
         sum(abs(slack_grid[idx]) * mass for idx, mass in plan.entries.items())
     )
-    return SolveResult(plan, potentials, value, state.iterations, gap, slack_res)
+    return SolveResult(plan, potentials, value, state.iterations, gap, slack_res,
+                       second)
 
 
 def solve_model(model: PolytopeModel, cost_vector: np.ndarray,
@@ -675,6 +670,9 @@ def oracle_enumerate(instance: DiscreteInstance,
     """Exhaustively enumerate polytope vertices of a small instance.
 
     Hard caps keep this honest: at most 81 grid cells and 12 atoms in total.
+    Degenerate instances inside the caps can still visit more than
+    `max_bases` bases (a 5x5 uniform-weight surplus instance, or 6x6,
+    3x3x3x3 and 4x4x4 random-weight ones) and raise InstanceTooLarge.
     """
     arities = instance.arities
     if int(np.prod(arities)) > ORACLE_GRID_CAP or sum(arities) > ORACLE_ATOM_CAP:
@@ -732,43 +730,32 @@ class UniquenessCertificate:
     max_tv_gap: float = 0.0
 
 
-def uniqueness_certificate(instance: DiscreteInstance, primal: Coupling,
-                           value: float) -> UniquenessCertificate:
-    """Probe the optimal face with deterministic secondary objectives.
+def uniqueness_certificate(instance: DiscreteInstance,
+                           result: SolveResult) -> UniquenessCertificate:
+    """Certify whether `result.plan` is the only optimal plan; runs no LP.
 
-    The face is cut out by one extra row: the cost normalised as in `solve`
-    (minimum 0, span 1) at the primal plan's value on that normalised cost,
-    so the row, its right-hand side and the probe LPs are the same whatever
-    the cost's scale or shift.  `value` is kept for the signature; the
-    right-hand side is taken from `primal`.  The face is swept by two fixed
-    random directions, each minimized and maximized; the solution is
-    certified unique when every probe optimum coincides with the primal in
-    total variation.
+    `solve` maximizes the mass off the plan's support over the cells active
+    under its optimal duals, which hold every optimal plan (Mangasarian
+    1979).  A zero optimum proves the plan unique.  A positive one is a
+    second optimal vertex, `result.second_vertex`: `non-unique` with it as
+    witness when its cost is the plan's within GAP_TOL on the cost
+    normalised as in `solve` (minimum 0, span 1) and its total-variation
+    distance from the plan exceeds WITNESS_TV_TOL; `inconclusive` when it
+    is that close, or dearer through cells priced within ACTIVE_TOL.
+    `face_probe_value_gap` is its mass off the plan's support and
+    `max_tv_gap` that distance; both are 0 for a unique plan.
     """
-    grid = instance.cost_grid().reshape(-1)
-    low = float(grid.min())
-    span = float(grid.max() - low) or 1.0
-    row = (grid - low) / span
-    level = float(row @ primal.to_dense().reshape(-1))
-    model = standard_model(instance.measures, extra_rows=[(row, level)])
-    rng = np.random.default_rng(_PROBE_SEED)
-    n = model.n_cols
-    max_tv = 0.0
-    value_gap = 0.0
-    witness = None
-    for _ in range(2):
-        probe = rng.standard_normal(n)
-        lo_x, lo_val, _ = solve_model(model, probe, "min")
-        hi_x, hi_val, _ = solve_model(model, probe, "max")
-        value_gap = max(value_gap, hi_val - lo_val)
-        for x in (lo_x, hi_x):
-            cand = _coupling_from_x(x, instance.arities)
-            tv = primal.total_variation(cand)
-            if tv > max_tv:
-                max_tv = tv
-                witness = cand
-    if max_tv <= GAP_TOL:
-        return UniquenessCertificate("unique", None, value_gap, max_tv)
-    if max_tv > WITNESS_TV_TOL:
-        return UniquenessCertificate("non-unique", witness, value_gap, max_tv)
-    return UniquenessCertificate("inconclusive", None, value_gap, max_tv)
+    x = result.second_vertex
+    if x is None:
+        return UniquenessCertificate("unique")
+    plan = result.plan
+    witness = _coupling_from_x(x, instance.arities)
+    plan_x = plan.to_dense().reshape(-1)
+    c = instance.cost_grid().reshape(-1) * (-1.0 if instance.sense == "max" else 1.0)
+    c = (c - c.min()) / (float(np.ptp(c)) or 1.0)
+    cost_gap = abs(float(c @ witness.to_dense().reshape(-1)) - float(c @ plan_x))
+    off_mass = float(x[plan_x == 0.0].sum())
+    tv = plan.total_variation(witness)
+    if cost_gap <= GAP_TOL and tv > WITNESS_TV_TOL:
+        return UniquenessCertificate("non-unique", witness, off_mass, tv)
+    return UniquenessCertificate("inconclusive", None, off_mass, tv)

@@ -231,7 +231,7 @@ def reconstruct_from_pair_reductions(instance: DiscreteInstance, potentials: Pot
         red = reduce(instance, potentials, (0, j))
         sol = solve(red.instance)
         if certify:
-            cert = uniqueness_certificate(red.instance, sol.plan, sol.value)
+            cert = uniqueness_certificate(red.instance, sol)
             hypothesis[j] = cert.status == "unique"
         try:
             fiber_map = _graph_map(sol.plan)
@@ -242,7 +242,7 @@ def reconstruct_from_pair_reductions(instance: DiscreteInstance, potentials: Pot
     red0 = reduce(instance, potentials, (0, j0))
     sol0 = solve(red0.instance)
     if certify:
-        cert0 = uniqueness_certificate(red0.instance, sol0.plan, sol0.value)
+        cert0 = uniqueness_certificate(red0.instance, sol0)
         hypothesis[j0] = cert0.status == "unique"
     residual_dis = disintegrate(sol0.plan, (0,), [instance.spaces[0],
                                                  instance.spaces[j0]])

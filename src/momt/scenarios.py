@@ -227,7 +227,7 @@ def run_sphere_reflection(config: ScenarioConfig) -> dict:
     mixture = res.plan.mix(reflected, 0.5)
     mix_value = sum(grid[idx] * m for idx, m in mixture.entries.items())
     mix_dec = detect_map_decomposition(mixture, 0)
-    cert = lp.uniqueness_certificate(inst, res.plan, res.value)
+    cert = lp.uniqueness_certificate(inst, res)
 
     checks = {
         "support_diagonal": off_diag < 1e-12,
@@ -509,7 +509,7 @@ def run_gangbo_swiech(config: ScenarioConfig) -> dict:
         }
 
     _, trep = gangbo_swiech_maps(inst, res.potentials, plan=res.plan)
-    cert = lp.uniqueness_certificate(inst, res.plan, res.value)
+    cert = lp.uniqueness_certificate(inst, res)
 
     checks = {
         "full_plan_graph": bool(graph_full),
@@ -592,7 +592,7 @@ def run_monge_quadratic(config: ScenarioConfig) -> dict:
         )
     mono = check_cyclical_monotonicity(res.plan.support(), inst.cost_grid(),
                                        sense="min", max_cycle=3)
-    cert = lp.uniqueness_certificate(inst, res.plan, res.value)
+    cert = lp.uniqueness_certificate(inst, res)
     checks = {
         "xy_gap": _round(xy_gap),
         "full_plan_graph": bool(graph_full),

@@ -53,6 +53,21 @@ def twin_surplus_instance(seed, n=8):
     return DiscreteInstance(spaces, measures, CostSpec("surplus", "max"))
 
 
+def twin_tensor(rng, n=5):
+    """Tensor cost whose axis-1 atoms 0 and 1 have identical cost slices.
+
+    The twins weigh 1/3 each and every axis-0 atom less than 2/3, so no
+    vertex can give both twins one fiber: swapping them in an optimal plan
+    gives a second optimal plan, and the optimum is never unique.
+    """
+    values = rng.uniform(0.0, 1.0, (n, n, n))
+    values[:, 1] = values[:, 0]
+    weights = [rng.dirichlet(np.ones(n)) for _ in range(3)]
+    weights[1] = np.r_[1 / 3, 1 / 3, weights[1][2:] / weights[1][2:].sum() / 3]
+    weights[0] = (weights[0] + 1.0 / n) / 2
+    return values, weights
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

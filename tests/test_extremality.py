@@ -300,7 +300,7 @@ def test_c_extreme_pass_implies_unique_certificate():
         report = fiber_report(sorted(mset.indices), inst.cost_grid(),
                               (tuple(range(n - 1)), (n - 1,)))
         if check_c_extreme(report).passed:
-            cert = lp.uniqueness_certificate(inst, res.plan, res.value)
+            cert = lp.uniqueness_certificate(inst, res)
             assert cert.status == "unique", f"counterexample at seed {seed}"
 
 

@@ -171,15 +171,17 @@ def test_oracle_agreement_random_batch():
 def test_unique_diagonal_certificate():
     inst = tensor_instance([[0.0, 1.0], [1.0, 0.0]])
     res = lp.solve(inst)
-    cert = lp.uniqueness_certificate(inst, res.plan, res.value)
+    assert res.second_vertex is None
+    cert = lp.uniqueness_certificate(inst, res)
     assert cert.status == "unique"
     assert cert.witness is None
+    assert cert.face_probe_value_gap == cert.max_tv_gap == 0.0
 
 
 def test_zero_cost_is_non_unique_with_witness():
     inst = tensor_instance(np.zeros((2, 2)))
     res = lp.solve(inst)
-    cert = lp.uniqueness_certificate(inst, res.plan, res.value)
+    cert = lp.uniqueness_certificate(inst, res)
     assert cert.status == "non-unique"
     assert cert.witness is not None
     grid = inst.cost_grid()
@@ -196,6 +198,6 @@ def test_reflection_witness_on_minimal_mirror_instance():
     inst, reflection, _ = gen_sphere_reflection(config)
     res = lp.solve(inst)
     reflected = res.plan.push_axis_map(2, reflection)
-    cert = lp.uniqueness_certificate(inst, res.plan, res.value)
+    cert = lp.uniqueness_certificate(inst, res)
     assert cert.status == "non-unique"
     assert cert.witness.total_variation(reflected) < 1e-12
