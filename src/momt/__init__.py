@@ -37,6 +37,7 @@ from .reduction import (
     reconstruct_from_pair_reductions,
     reduce,
     reduce_chain,
+    solve_pair_reductions,
     verify_reduction_optimality,
 )
 from .scenarios import NormalField, ScenarioConfig, run_scenario

@@ -37,7 +37,7 @@ from .errors import (
 from .extremality import check_c_extreme, check_cyclical_monotonicity, fiber_report
 from .instance import DiscreteInstance, prune_zero_atoms
 from .measure import DiscreteMeasure, Space
-from .reduction import IndexSubset, reduce, verify_reduction_optimality
+from .reduction import IndexSubset, verify_reduction_optimality
 from .scenarios import ALIASES, SCENARIO_KINDS, ScenarioConfig, run_scenario
 from .serialize import dump_text, write_csv
 from .tolerances import GAP_TOL
@@ -64,12 +64,21 @@ def load_instance_dict(doc: dict) -> DiscreteInstance:
         raise SchemaError("weights", "need one weight vector per space")
     spaces, measures = [], []
     for k, (sd, wd) in enumerate(zip(spaces_doc, weights_doc)):
+        if not isinstance(sd, dict):
+            raise SchemaError(f"spaces[{k}]", "need an object with 'points'")
         try:
-            space = Space(str(sd.get("name", f"S{k + 1}")),
-                          np.asarray(sd["points"], dtype=float))
+            points = np.asarray(sd["points"], dtype=float)
+            if not np.isfinite(points).all():
+                raise ValueError("points must be finite")
+            space = Space(str(sd.get("name", f"S{k + 1}")), points)
         except (KeyError, TypeError, ValueError, MomtError) as exc:
             raise SchemaError(f"spaces[{k}]", str(exc)) from exc
-        w = np.asarray(wd, dtype=float)
+        try:
+            w = np.asarray(wd, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"weights[{k}]", str(exc)) from exc
+        if not np.isfinite(w).all():
+            raise SchemaError(f"weights[{k}]", "weights must be finite")
         if w.ndim != 1 or w.shape[0] != space.size:
             raise SchemaError(f"weights[{k}]",
                               f"{w.shape} does not match {space.size} atoms")
@@ -221,9 +230,8 @@ def cmd_reduce(args) -> int:
     except MomtError as exc:
         raise SchemaError("--subset", str(exc)) from exc
     res = lp.solve(instance)
-    red = reduce(instance, res.potentials, subset)
     report = verify_reduction_optimality(instance, res.plan, res.potentials, subset)
-    doc = instance_to_dict(red.instance)
+    doc = instance_to_dict(report.problem.instance)
     doc["provenance"] = {
         "parent_sha256": _instance_hash(instance),
         "subset": [i + 1 for i in subset.indices],

@@ -113,6 +113,8 @@ def evaluate(spec: CostSpec, points: list[np.ndarray]) -> float:
     raise InvariantViolation(f"cost kind {spec.kind!r} has no pointwise evaluation")
 
 
+# overflow shows up as non-finite cells, which are refused below
+@np.errstate(over="ignore", invalid="ignore")
 def cost_array(spec: CostSpec, spaces: list[Space]) -> np.ndarray:
     """Tabulate the cost over the full product grid of the given spaces."""
     shape = tuple(s.size for s in spaces)
@@ -201,36 +203,11 @@ def conjugate_argmax_ties(table: ConjugateTable, s: np.ndarray,
 #     psi_j(t) = max over the complement grid of
 #                ( <t, sum x_k> + cross terms - sum phi_k )
 #
-# gives the reduced pair cost <x_0, x_j> + psi_j(x_0 + x_j).  The map onto
+# gives the reduced pair cost <x_0, x_j> + psi_j(x_0 + x_j), which is what
+# `reduction.reduce` tabulates on the pair (0, j).  The map onto
 # axis j evaluates the conjugate of u_j(t) = |t|^2 / 2 + psi_j(t) at
 # s = x_0 + Dphi_0(x_0), where Dphi_0 is the argmax selection over the
 # active fiber; the image is the conjugate's argmax sample minus x_0.
-
-
-def _complement_terms(instance, potentials, j):
-    """Vectors sum(x_k), cross-products and potential sums over the
-    complement grid of axes {0, j}."""
-    axes = [k for k in range(instance.n_axes) if k not in (0, j)]
-    shapes = [instance.arities[k] for k in axes]
-    sums, offsets = [], []
-    for combo in np.ndindex(tuple(shapes)):
-        pts = [instance.spaces[k].points[i] for k, i in zip(axes, combo)]
-        s = np.sum(pts, axis=0) if pts else np.zeros(instance.spaces[0].dim)
-        cross = 0.0
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                cross += float(np.dot(pts[a], pts[b]))
-        phi = sum(float(potentials.vectors[k][i]) for k, i in zip(axes, combo))
-        sums.append(s)
-        offsets.append(cross - phi)
-    return np.array(sums), np.array(offsets)
-
-
-def fold_complement(instance, potentials, j, targets: np.ndarray) -> np.ndarray:
-    """psi_j evaluated at each target vector (max over the complement grid)."""
-    sums, offsets = _complement_terms(instance, potentials, j)
-    scores = np.atleast_2d(targets) @ sums.T + offsets[None, :]
-    return scores.max(axis=1)
 
 
 def build_gs_conjugates(instance, potentials) -> dict[int, ConjugateTable]:
@@ -238,14 +215,21 @@ def build_gs_conjugates(instance, potentials) -> dict[int, ConjugateTable]:
 
     Samples are all pairwise sums x_0 + x_j over the two atom grids; the
     sums realized on any feasible support are therefore always present.
+    psi_j at the sample x_0a + x_jb is the reduced pair cost of
+    `reduction.reduce(instance, potentials, (0, j))` at (a, b) minus
+    <x_0a, x_jb>; with two axes there is no complement and psi is zero.
     """
+    from .reduction import reduce
+
     _require_surplus(instance)
     tables = {}
     p0 = instance.spaces[0].points
     for j in range(1, instance.n_axes):
         pj = instance.spaces[j].points
         samples = (p0[:, None, :] + pj[None, :, :]).reshape(-1, p0.shape[1])
-        psi = fold_complement(instance, potentials, j, samples)
+        pair = (reduce(instance, potentials, (0, j)).reduced_cost
+                if instance.n_axes > 2 else instance.cost_grid())
+        psi = (pair - p0 @ pj.T).reshape(-1)
         values = 0.5 * (samples**2).sum(1) + psi
         tables[j] = ConjugateTable(samples, values)
     return tables

@@ -46,6 +46,7 @@ from .tolerances import (
     REDUCED_COST_TOL,
     VERTEX_PIVOT_TOL,
     WITNESS_TV_TOL,
+    cost_scaled,
 )
 
 DEFAULT_GRID_CAP = 200_000
@@ -353,9 +354,10 @@ class Potentials:
     """One dual vector per marginal, in the instance's own sense.
 
     Feasibility: sum_k phi_k <= c on the full grid for minimization (>= for
-    maximization), up to 1e-9.  The gauge is canonical: every vector after
-    the first has zero mean against its marginal, the constant sits in the
-    first vector.
+    maximization), up to 1e-9 times the cost's span plus N ulps of its
+    largest magnitude (`cost_scaled`).  The gauge is canonical: every
+    vector after the first has zero mean against its marginal, the constant
+    sits in the first vector.
     """
 
     vectors: list[np.ndarray]
@@ -542,9 +544,8 @@ def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> Solve
     vectors[0] += sign * shift
     vectors = _canonical_gauge(vectors, instance.measures)
     potentials = Potentials(vectors, instance.sense)
-    # a sum of N potentials is only as precise as rounding at the cost's size
     violation = potentials.feasibility_violation(grid)
-    if violation > DUAL_FEAS_TOL * span + len(vectors) * np.spacing(np.abs(grid).max()):
+    if violation > cost_scaled(DUAL_FEAS_TOL, grid):
         raise SolverError(f"potentials violate dual feasibility by {violation:.3e}")
 
     value = sign * (shift + span * float(c @ x))

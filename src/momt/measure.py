@@ -36,8 +36,10 @@ class Space:
             raise InvariantViolation(f"space {self.name!r}: need a nonempty (n, d) array")
         object.__setattr__(self, "points", pts)
         if pts.shape[0] > 1:
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist = np.sqrt((diff**2).sum(-1))
+            # an overflowing distance is just a large one
+            with np.errstate(over="ignore"):
+                diff = pts[:, None, :] - pts[None, :, :]
+                dist = np.sqrt((diff**2).sum(-1))
             np.fill_diagonal(dist, np.inf)
             if dist.min() <= STORAGE_TOL:
                 i, j = np.unravel_index(np.argmin(dist), dist.shape)
@@ -74,17 +76,6 @@ class DiscreteMeasure:
     @property
     def size(self) -> int:
         return self.space.size
-
-
-def product_space(spaces: list[Space], name: str | None = None) -> Space:
-    """Space whose atoms are all concatenated coordinate tuples, in C order."""
-    if len(spaces) == 1:
-        return spaces[0]
-    shape = tuple(s.size for s in spaces)
-    rows = []
-    for combo in np.ndindex(shape):
-        rows.append(np.concatenate([s.points[i] for s, i in zip(spaces, combo)]))
-    return Space(name or "x".join(s.name for s in spaces), np.array(rows))
 
 
 @dataclass(frozen=True)
@@ -234,25 +225,20 @@ def pushforward(plan: Coupling, subset: tuple[int, ...]) -> Coupling:
     return Coupling(tuple(plan.arities[a] for a in subset), entries)
 
 
-def disintegrate(plan: Coupling, conditioning: tuple[int, ...],
-                 spaces: list[Space] | None = None) -> Disintegration:
+def disintegrate(plan: Coupling, conditioning: tuple[int, ...]) -> Disintegration:
     """Split a coupling into a base marginal and conditionals over its atoms.
 
     Conditionals exist exactly for base atoms of positive mass; their weights
     are entry(base, .) / base_mass, laid out in C order of the complementary
-    axes.  When spaces are given the conditional measures carry the true
-    product geometry, otherwise synthetic unit-grid spaces are used.
+    axes.  Only the weights carry meaning: the conditional measures live on a
+    synthetic unit grid with one atom per complementary multi-index.
     """
     n = len(plan.arities)
     conditioning = _check_subset(conditioning, n, proper=True)
     complement = tuple(a for a in range(n) if a not in conditioning)
     base = pushforward(plan, conditioning)
     comp_shape = tuple(plan.arities[a] for a in complement)
-    if spaces is not None:
-        comp_space = product_space([spaces[a] for a in complement])
-    else:
-        grid = np.arange(int(np.prod(comp_shape)), dtype=float)[:, None]
-        comp_space = Space("residual", grid)
+    comp_space = Space("residual", np.arange(int(np.prod(comp_shape)), dtype=float))
 
     cond_tables: dict[tuple[int, ...], np.ndarray] = {}
     for idx, mass in plan.entries.items():

@@ -13,7 +13,7 @@ attains the reduced optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,15 +28,14 @@ from .errors import (
     SubsetTooSmall,
 )
 from .instance import DiscreteInstance
-from .lp import Potentials, solve
+from .lp import Potentials, solve, uniqueness_certificate
 from .measure import (
     Coupling,
-    Disintegration,
     assemble_product_conditional,
     disintegrate,
     pushforward,
 )
-from .tolerances import DUAL_FEAS_TOL, GAP_TOL
+from .tolerances import DUAL_FEAS_TOL, GAP_TOL, cost_scaled
 
 
 @dataclass(frozen=True)
@@ -84,17 +83,19 @@ def reduce(instance: DiscreteInstance, potentials: Potentials,
     """Tabulate the reduced cost on a proper subset of at least two axes.
 
     Ties in the complement optimum break to the lexicographically smallest
-    complement multi-index, recorded as the argmin witness.
+    complement multi-index, recorded as the argmin witness.  The potentials
+    must be dual feasible within the tolerance `solve` guarantees.
     """
     if not isinstance(subset, IndexSubset):
         subset = IndexSubset(tuple(subset), instance.n_axes)
     subset.require_reducible()
-    viol = potentials.feasibility_violation(instance.cost_grid())
-    if viol > DUAL_FEAS_TOL:
+    cost = instance.cost_grid()
+    viol = potentials.feasibility_violation(cost)
+    if viol > cost_scaled(DUAL_FEAS_TOL, cost):
         raise InfeasiblePotentials(f"dual feasibility violated by {viol:.3e}")
 
     comp = subset.complement
-    grid = instance.cost_grid().copy()
+    grid = cost.copy()
     for k in comp:
         shape = [1] * instance.n_axes
         shape[k] = instance.arities[k]
@@ -131,12 +132,19 @@ class ReductionReport:
     pushforward_value: float
     gap: float
     passed: bool
+    problem: ReducedProblem
 
 
 def verify_reduction_optimality(instance: DiscreteInstance, plan: Coupling,
                                 potentials: Potentials, subset,
                                 tol: float = GAP_TOL) -> ReductionReport:
-    """Check that the plan's restriction attains the reduced optimum."""
+    """Check that the plan's restriction attains the reduced optimum.
+
+    The gap passes within tol times the parent cost's span plus N ulps of
+    its largest magnitude: a subset without axis 0 hides in its table the
+    rounding of the constant that axis 0's potential carries.  The report
+    keeps the reduced problem it solved.
+    """
     red = reduce(instance, potentials, subset)
     reduced = solve(red.instance)
     pushed = pushforward(plan, red.subset.indices)
@@ -146,7 +154,7 @@ def verify_reduction_optimality(instance: DiscreteInstance, plan: Coupling,
     )
     gap = abs(pushed_value - reduced.value)
     return ReductionReport(red.subset.indices, reduced.value, pushed_value, gap,
-                           gap <= tol)
+                           gap <= cost_scaled(tol, instance.cost_grid()), red)
 
 
 def reduce_chain(instance: DiscreteInstance, potentials: Potentials,
@@ -181,80 +189,72 @@ class PairReconstructionReport:
     graph_axes: list[int]
     feasible_dev: float
     value_gap: float
-    tv_to_plan: float | None
+    tv_to_plan: float
     passed: bool
-    hypothesis_unique: dict[int, bool] | None = None
+    hypothesis_unique: dict[int, bool]
 
     @property
     def hypothesis_holds(self) -> bool:
-        return self.hypothesis_unique is not None and all(
-            self.hypothesis_unique.values()
-        )
+        return all(self.hypothesis_unique.values())
 
 
-def _graph_map(plan: Coupling, tol_fiber: float = 0.0) -> dict[int, tuple[int, ...]]:
-    """Fiber map of a two-block coupling over axis 0; raises if multi-valued."""
-    fibers = plan.fibers(0)
+def solve_pair_reductions(instance: DiscreteInstance, potentials: Potentials):
+    """Reduce and solve the pair problems (0, j), j = 1..N-1, once each.
+
+    Returns {j: (ReducedProblem, SolveResult)}, the input that
+    `reconstruct_from_pair_reductions` assembles from.
+    """
+    pairs = {}
+    for j in range(1, instance.n_axes):
+        red = reduce(instance, potentials, (0, j))
+        pairs[j] = (red, solve(red.instance))
+    return pairs
+
+
+def _graph_map(plan: Coupling, axis: int) -> dict[tuple[int], tuple[int, ...]]:
+    """Fiber map over axis 0 of the pair plan for axis; raises if multi-valued."""
     mapping = {}
-    for x, fib in fibers.items():
+    for x, fib in plan.fibers(0).items():
         if len(fib) != 1:
-            raise NotAGraph(0, x)
-        mapping[x] = next(iter(fib))
+            raise NotAGraph(axis, x)
+        mapping[(x,)] = next(iter(fib))
     return mapping
 
 
 def reconstruct_from_pair_reductions(instance: DiscreteInstance, potentials: Potentials,
-                      j0: int, reference_plan: Coupling | None = None,
-                      tol: float = GAP_TOL, certify: bool = True):
+                                     j0: int, reference_plan: Coupling,
+                                     pairs: dict | None = None):
     """Rebuild the full plan from two-marginal reductions against axis 0.
 
-    Every axis j != j0 must reduce to a plan that is a graph over axis 0;
-    the j0 reduction contributes the residual conditional.  The assembled
-    plan is checked feasible and optimal for the instance.
+    pairs is `solve_pair_reductions(instance, potentials)`, solved here when
+    the caller has none.  Every axis j != j0 must reduce to a plan that is a
+    graph over axis 0; the j0 reduction contributes the residual
+    conditional.  The assembled plan is checked feasible and compared with
+    reference_plan in value (within GAP_TOL times the cost's span plus N
+    ulps of its largest magnitude) and in total variation.
 
     The reconstruction equals the full optimum only when every reduced pair
-    problem is uniquely solved; with certify=True each reduced problem gets
-    a uniqueness certificate and the per-axis outcomes are reported, since
-    a non-unique reduced face lets the reduced solver legitimately pick a
-    vertex that is not the full plan's restriction.
+    problem is uniquely solved, so each one gets a uniqueness certificate
+    and the per-axis outcomes are reported: a non-unique reduced face lets
+    the reduced solver legitimately pick a vertex that is not the full
+    plan's restriction.
     """
-    from .lp import uniqueness_certificate
-
     n = instance.n_axes
     if not 1 <= j0 < n:
         raise IndexOutOfRange(f"j0 must be in 1..{n - 1}")
+    if pairs is None:
+        pairs = solve_pair_reductions(instance, potentials)
     hypothesis: dict[int, bool] = {}
     maps: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
-    for j in range(1, n):
-        if j == j0:
-            continue
-        red = reduce(instance, potentials, (0, j))
-        sol = solve(red.instance)
-        if certify:
-            cert = uniqueness_certificate(red.instance, sol)
-            hypothesis[j] = cert.status == "unique"
-        try:
-            fiber_map = _graph_map(sol.plan)
-        except NotAGraph as exc:
-            raise NotAGraph(j, exc.atom) from exc
-        maps[j] = {(x,): img for x, img in fiber_map.items()}
+    for j, (red, sol) in sorted(pairs.items()):
+        hypothesis[j] = uniqueness_certificate(red.instance, sol).status == "unique"
+        if j != j0:
+            maps[j] = _graph_map(sol.plan, j)
 
-    red0 = reduce(instance, potentials, (0, j0))
-    sol0 = solve(red0.instance)
-    if certify:
-        cert0 = uniqueness_certificate(red0.instance, sol0)
-        hypothesis[j0] = cert0.status == "unique"
-    residual_dis = disintegrate(sol0.plan, (0,), [instance.spaces[0],
-                                                 instance.spaces[j0]])
-    residual = Disintegration(
-        conditioning=(0,),
-        base=residual_dis.base,
-        conditionals=residual_dis.conditionals,
-        complement=(j0,),
-    )
-    base = residual_dis.base
+    # the pair plan's second axis is axis j0 of the full grid
+    residual = replace(disintegrate(pairs[j0][1].plan, (0,)), complement=(j0,))
     blocks = [((j,), maps[j]) for j in sorted(maps)]
-    assembled = assemble_product_conditional(base, (0,), blocks, residual,
+    assembled = assemble_product_conditional(residual.base, (0,), blocks, residual,
                                              instance.arities)
 
     feas_dev = max(
@@ -263,20 +263,15 @@ def reconstruct_from_pair_reductions(instance: DiscreteInstance, potentials: Pot
     )
     grid = instance.cost_grid()
     value = float(sum(grid[idx] * m for idx, m in assembled.entries.items()))
-    full = solve(instance) if reference_plan is None else None
-    ref_value = full.value if full is not None else float(
-        sum(grid[idx] * m for idx, m in reference_plan.entries.items())
-    )
+    ref_value = float(sum(grid[idx] * m for idx, m in reference_plan.entries.items()))
     value_gap = abs(value - ref_value)
-    ref = reference_plan if reference_plan is not None else full.plan
-    tv = assembled.total_variation(ref)
     report = PairReconstructionReport(
         j0=j0,
         graph_axes=sorted(maps),
         feasible_dev=feas_dev,
         value_gap=value_gap,
-        tv_to_plan=tv,
-        passed=feas_dev <= 1e-10 and value_gap <= tol,
-        hypothesis_unique=hypothesis if certify else None,
+        tv_to_plan=assembled.total_variation(reference_plan),
+        passed=feas_dev <= 1e-10 and value_gap <= cost_scaled(GAP_TOL, grid),
+        hypothesis_unique=hypothesis,
     )
     return assembled, report

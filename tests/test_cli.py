@@ -59,12 +59,35 @@ def test_solve_writes_result(tmp_path, capsys):
     assert abs(total - 1.0) < 1e-12
 
 
-def test_malformed_weights_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("field,value,where", [
+    ("weights", [[0.4, 0.5], [0.5, 0.5]], "weights[0]"),
+    ("weights", [["ab", "cd"], [0.5, 0.5]], "weights[0]"),
+    ("weights", [[float("nan"), 0.5], [0.5, 0.5]], "weights[0]"),
+    ("spaces", [3, {"name": "Y", "points": [[0.0], [1.0]]}], "spaces[0]"),
+    ("spaces", [{"name": "X", "points": [[0.0], [1.0]]},
+                {"name": "Y", "points": [[float("nan")], [1.0]]}], "spaces[1]"),
+], ids=["sum", "strings", "nan-weight", "space-not-object", "nan-point"])
+def test_malformed_weights_exit_2(tmp_path, capsys, field, value, where):
     bad = dict(TWO_BY_TWO)
-    bad["weights"] = [[0.4, 0.5], [0.5, 0.5]]
+    bad[field] = value
     path = _write(tmp_path, bad)
     assert main(["solve", path]) == 2
-    assert "weights" in capsys.readouterr().err
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cost", ["surplus", "attractive"])
+def test_overflowing_points_exit_3_without_warnings(tmp_path, capsys, cost):
+    doc = {
+        "version": 1,
+        "spaces": [{"name": "X", "points": [[1e308, 0.0], [0.0, -1e308]]},
+                   {"name": "Y", "points": [[1e308, 1.0], [-1e308, 0.0]]}],
+        "weights": [[0.5, 0.5], [0.5, 0.5]],
+        "cost": {"builtin": cost},
+        "sense": "min",
+    }
+    assert main(["solve", _write(tmp_path, doc)]) == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_missing_file_exit_2(capsys):
@@ -87,6 +110,29 @@ def test_reduce_round_trips_and_reports(tmp_path):
     assert len(doc["spaces"]) == 2
     # the reduced file is itself a loadable instance
     load_instance_dict(doc)
+
+
+@pytest.mark.parametrize("transform", [lambda v: v * 1e9, lambda v: v + 1e9],
+                         ids=["x1e9", "+1e9"])
+def test_reduce_passes_on_scaled_and_shifted_costs(tmp_path, transform):
+    # the reduction checks use the span-relative rule that solve applies
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        weights = [rng.dirichlet(np.ones(4)) for _ in range(3)]
+        doc = {
+            "version": 1,
+            "spaces": [{"name": f"A{k}", "points": [[float(i)] for i in range(4)]}
+                       for k in range(3)],
+            "weights": [(w / w.sum()).tolist() for w in weights],
+            "cost": {"tensor": transform(rng.uniform(0.0, 1.0, (4, 4, 4))).tolist()},
+            "sense": "min",
+        }
+        path = _write(tmp_path, doc)
+        for subset in ("1,2", "1,3", "2,3"):
+            out = tmp_path / "reduced.json"
+            assert main(["reduce", path, "--subset", subset, "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["provenance"]["reduction"]["passed"], \
+                (seed, subset)
 
 
 def test_reduce_subset_validation_exit_2(tmp_path, capsys):

@@ -235,3 +235,45 @@ def test_conjugate_tables_sample_all_pair_sums():
     for s in inst.spaces[0].points:
         val, idx = legendre_conjugate(tables[1], s)
         assert (tables[1].values + val - tables[1].samples @ s >= -1e-10).all()
+
+
+# -- conjugate tables against an independent fold of the complement ----------
+
+def _complement_terms(instance, potentials, j):
+    """Vectors sum(x_k), cross-products and potential sums over the
+    complement grid of axes {0, j}."""
+    axes = [k for k in range(instance.n_axes) if k not in (0, j)]
+    shapes = [instance.arities[k] for k in axes]
+    sums, offsets = [], []
+    for combo in np.ndindex(tuple(shapes)):
+        pts = [instance.spaces[k].points[i] for k, i in zip(axes, combo)]
+        s = np.sum(pts, axis=0) if pts else np.zeros(instance.spaces[0].dim)
+        cross = 0.0
+        for a in range(len(pts)):
+            for b in range(a + 1, len(pts)):
+                cross += float(np.dot(pts[a], pts[b]))
+        phi = sum(float(potentials.vectors[k][i]) for k, i in zip(axes, combo))
+        sums.append(s)
+        offsets.append(cross - phi)
+    return np.array(sums), np.array(offsets)
+
+
+def fold_complement(instance, potentials, j, targets: np.ndarray) -> np.ndarray:
+    """psi_j evaluated at each target vector (max over the complement grid)."""
+    sums, offsets = _complement_terms(instance, potentials, j)
+    scores = np.atleast_2d(targets) @ sums.T + offsets[None, :]
+    return scores.max(axis=1)
+
+
+@pytest.mark.parametrize("n_axes,n", [(2, 6), (3, 8), (3, 6), (4, 4)])
+def test_conjugate_tables_match_the_complement_fold(n_axes, n):
+    for seed in range(4):
+        inst = _gs_instance(seed, n=n, n_axes=n_axes)
+        res = lp.solve(inst)
+        tables = build_gs_conjugates(inst, res.potentials)
+        assert sorted(tables) == list(range(1, n_axes))
+        for j, table in tables.items():
+            psi = fold_complement(inst, res.potentials, j, table.samples)
+            expected = 0.5 * (table.samples**2).sum(1) + psi
+            assert np.all(np.abs(table.values - expected)
+                          <= 1e-12 * (1.0 + np.abs(expected))), (seed, j)

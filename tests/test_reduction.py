@@ -18,6 +18,7 @@ from momt.reduction import (
     reconstruct_from_pair_reductions,
     reduce,
     reduce_chain,
+    solve_pair_reductions,
     verify_reduction_optimality,
 )
 from conftest import random_instance, tensor_instance, twin_surplus_instance
@@ -206,7 +207,7 @@ def test_reconstruction_diagonal_identity_on_mirror_instance():
     for (i, j), _mass in sol.plan.entries.items():
         assert i == j
     assembled, report = reconstruct_from_pair_reductions(inst, res.potentials, 2,
-                                          reference_plan=res.plan, certify=False)
+                                          reference_plan=res.plan)
     assert report.feasible_dev <= 1e-10
     assert report.value_gap <= 1e-8
 
@@ -235,3 +236,67 @@ def test_universal_pushforward_optimality():
                 report = verify_reduction_optimality(inst, res.plan,
                                                      res.potentials, subset)
                 assert report.passed, (seed, subset, report.gap)
+
+
+def test_reconstruction_from_given_pairs_matches_its_own_solves():
+    for seed, n_axes in ((42, 3), (3, 3), (2, 4)):
+        inst = _gs_instance(seed, n=6 if n_axes == 3 else 4, n_axes=n_axes)
+        res = lp.solve(inst)
+        pairs = solve_pair_reductions(inst, res.potentials)
+        assert sorted(pairs) == list(range(1, n_axes))
+        for j0 in range(1, n_axes):
+            own_plan, own = reconstruct_from_pair_reductions(inst, res.potentials,
+                                                             j0, res.plan)
+            given_plan, given = reconstruct_from_pair_reductions(
+                inst, res.potentials, j0, res.plan, pairs)
+            assert given == own
+            assert given_plan.entries == own_plan.entries
+
+
+# -- tolerances relative to the parent cost's span ------------------------------
+
+SCALED_COSTS = {
+    "x1e9": lambda v: v * 1e9,
+    "x1e12": lambda v: v * 1e12,
+    "+1e9": lambda v: v + 1e9,
+    "-1e9": lambda v: v - 1e9,
+    "x1e6+1e9": lambda v: v * 1e6 + 1e9,
+}
+
+
+def _dirichlet_tensor(seed, transform, n_axes, n):
+    rng = np.random.default_rng(seed)
+    values = transform(rng.uniform(0.0, 1.0, (n,) * n_axes))
+    weights = []
+    for _ in range(n_axes):
+        w = rng.dirichlet(np.ones(n))
+        weights.append(w / w.sum())
+    return tensor_instance(values, weights)
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_COSTS))
+def test_every_reduction_passes_on_scaled_and_shifted_costs(name):
+    # solve guarantees dual feasibility within the span-relative rule, so
+    # reduce must accept its potentials and the gaps must pass under the
+    # same rule, at any scale and shift of the cost
+    for seed in range(6):
+        for n_axes, n in ((3, 4), (4, 3)):
+            inst = _dirichlet_tensor(seed, SCALED_COSTS[name], n_axes, n)
+            res = lp.solve(inst)
+            for p in range(2, n_axes):
+                for subset in combinations(range(n_axes), p):
+                    report = verify_reduction_optimality(inst, res.plan,
+                                                         res.potentials, subset)
+                    assert report.passed, (seed, subset, report.gap)
+
+
+@pytest.mark.parametrize("shift", [1e9, -1e9])
+def test_reconstruction_passes_on_a_shifted_cost(shift):
+    for seed in range(4):
+        base = _gs_instance(seed, n=6)
+        inst = DiscreteInstance(base.spaces, base.measures,
+                                CostSpec("tensor", "max",
+                                         {"values": base.cost_grid() + shift}))
+        res = lp.solve(inst)
+        _, report = reconstruct_from_pair_reductions(inst, res.potentials, 2, res.plan)
+        assert report.passed, (seed, report.value_gap)

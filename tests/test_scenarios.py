@@ -184,6 +184,28 @@ def test_gs_generic_seeds_pass():
         assert not report["checks"]["degenerate_flag"], seed
 
 
+@pytest.mark.parametrize("n_axes", [3, 4])
+def test_gs_solves_each_pair_reduction_once(monkeypatch, n_axes):
+    # the full problem plus the N - 1 pair reductions, which the driver's
+    # checks and the reconstruction share
+    from momt import reduction
+
+    calls = []
+
+    def counting(instance, *args, **kwargs):
+        calls.append(instance.n_axes)
+        return real(instance, *args, **kwargs)
+
+    real = lp.solve
+    monkeypatch.setattr(lp, "solve", counting)
+    monkeypatch.setattr(reduction, "solve", counting)
+    cfg = ScenarioConfig("gs", seed=2, sizes=(4,))
+    cfg.extras["n_axes"] = n_axes
+    report = run_scenario(cfg)
+    assert report["checks"]["reconstruction"] is not None
+    assert calls == [n_axes] + [2] * (n_axes - 1)
+
+
 def test_mq_run_generic():
     report = run_scenario(ScenarioConfig("mq", seed=5, sizes=(6,)))
     checks = report["checks"]
