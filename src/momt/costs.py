@@ -210,25 +210,22 @@ def conjugate_argmax_ties(table: ConjugateTable, s: np.ndarray,
 # active fiber; the image is the conjugate's argmax sample minus x_0.
 
 
-def build_gs_conjugates(instance, potentials) -> dict[int, ConjugateTable]:
+def build_gs_conjugates(instance, pair_costs) -> dict[int, ConjugateTable]:
     """Conjugate tables of u_j(t) = |t|^2/2 + psi_j(t), one per axis j >= 1.
 
-    Samples are all pairwise sums x_0 + x_j over the two atom grids; the
-    sums realized on any feasible support are therefore always present.
-    psi_j at the sample x_0a + x_jb is the reduced pair cost of
-    `reduction.reduce(instance, potentials, (0, j))` at (a, b) minus
-    <x_0a, x_jb>; with two axes there is no complement and psi is zero.
+    pair_costs maps j to the reduced pair cost on (0, j), the table of
+    `reduction.reduce(instance, potentials, (0, j))` (the cost itself when
+    there are only two axes).  Samples are all pairwise sums x_0 + x_j over
+    the two atom grids; the sums realized on any feasible support are
+    therefore always present.  psi_j at the sample x_0a + x_jb is the pair
+    cost at (a, b) minus <x_0a, x_jb>.
     """
-    from .reduction import reduce
-
     _require_surplus(instance)
     tables = {}
     p0 = instance.spaces[0].points
-    for j in range(1, instance.n_axes):
+    for j, pair in sorted(pair_costs.items()):
         pj = instance.spaces[j].points
         samples = (p0[:, None, :] + pj[None, :, :]).reshape(-1, p0.shape[1])
-        pair = (reduce(instance, potentials, (0, j)).reduced_cost
-                if instance.n_axes > 2 else instance.cost_grid())
         psi = (pair - p0 @ pj.T).reshape(-1)
         values = 0.5 * (samples**2).sum(1) + psi
         tables[j] = ConjugateTable(samples, values)
@@ -283,19 +280,18 @@ def dual_gradient_selection(instance, potentials, tie_tol: float = 1e-9):
 
 
 def gangbo_swiech_maps(instance, potentials,
-                       conjugates: dict[int, ConjugateTable] | None = None,
+                       conjugates: dict[int, ConjugateTable],
                        plan=None, agree_tol: float = 1e-8):
     """Transport-map images T_j(x_0) from dual data, with a support report.
 
-    For every first-axis atom the image under axis j is the conjugate argmax
-    sample of u_j at x_0 + Dphi_0(x_0), minus x_0.  When a plan is supplied
-    the images are compared against its support fibers; atoms with tied dual
-    gradients or tied conjugate argmaxes are reported and excluded from the
-    agreement fraction rather than silently resolved.
+    conjugates is `build_gs_conjugates` of the same potentials' pair
+    reductions.  For every first-axis atom the image under axis j is the
+    conjugate argmax sample of u_j at x_0 + Dphi_0(x_0), minus x_0.  When a
+    plan is supplied the images are compared against its support fibers;
+    atoms with tied dual gradients or tied conjugate argmaxes are reported
+    and excluded from the agreement fraction rather than silently resolved.
     """
     _require_surplus(instance)
-    if conjugates is None:
-        conjugates = build_gs_conjugates(instance, potentials)
     grads, dual_tied = dual_gradient_selection(instance, potentials)
     p0 = instance.spaces[0].points
     n0 = instance.arities[0]

@@ -136,11 +136,10 @@ class ReductionReport:
 
 
 def verify_reduction_optimality(instance: DiscreteInstance, plan: Coupling,
-                                potentials: Potentials, subset,
-                                tol: float = GAP_TOL) -> ReductionReport:
+                                potentials: Potentials, subset) -> ReductionReport:
     """Check that the plan's restriction attains the reduced optimum.
 
-    The gap passes within tol times the parent cost's span plus N ulps of
+    The gap passes within GAP_TOL times the parent cost's span plus N ulps of
     its largest magnitude: a subset without axis 0 hides in its table the
     rounding of the constant that axis 0's potential carries.  The report
     keeps the reduced problem it solved.
@@ -154,7 +153,7 @@ def verify_reduction_optimality(instance: DiscreteInstance, plan: Coupling,
     )
     gap = abs(pushed_value - reduced.value)
     return ReductionReport(red.subset.indices, reduced.value, pushed_value, gap,
-                           gap <= cost_scaled(tol, instance.cost_grid()), red)
+                           gap <= cost_scaled(GAP_TOL, instance.cost_grid()), red)
 
 
 def reduce_chain(instance: DiscreteInstance, potentials: Potentials,
@@ -221,15 +220,13 @@ def _graph_map(plan: Coupling, axis: int) -> dict[tuple[int], tuple[int, ...]]:
     return mapping
 
 
-def reconstruct_from_pair_reductions(instance: DiscreteInstance, potentials: Potentials,
-                                     j0: int, reference_plan: Coupling,
-                                     pairs: dict | None = None):
+def reconstruct_from_pair_reductions(instance: DiscreteInstance, pairs: dict,
+                                     j0: int, reference_plan: Coupling):
     """Rebuild the full plan from two-marginal reductions against axis 0.
 
-    pairs is `solve_pair_reductions(instance, potentials)`, solved here when
-    the caller has none.  Every axis j != j0 must reduce to a plan that is a
-    graph over axis 0; the j0 reduction contributes the residual
-    conditional.  The assembled plan is checked feasible and compared with
+    pairs is `solve_pair_reductions(instance, potentials)`.  Every axis
+    j != j0 must reduce to a plan that is a graph over axis 0; the j0
+    reduction contributes the residual conditional.  The assembled plan is checked feasible and compared with
     reference_plan in value (within GAP_TOL times the cost's span plus N
     ulps of its largest magnitude) and in total variation.
 
@@ -242,8 +239,6 @@ def reconstruct_from_pair_reductions(instance: DiscreteInstance, potentials: Pot
     n = instance.n_axes
     if not 1 <= j0 < n:
         raise IndexOutOfRange(f"j0 must be in 1..{n - 1}")
-    if pairs is None:
-        pairs = solve_pair_reductions(instance, potentials)
     hypothesis: dict[int, bool] = {}
     maps: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
     for j, (red, sol) in sorted(pairs.items()):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .costs import CostSpec, gangbo_swiech_maps
+from .costs import CostSpec, build_gs_conjugates, gangbo_swiech_maps
 from .errors import InvariantViolation, UnknownScenario
 from .extremality import (
     OrderedPartition,
@@ -502,8 +502,7 @@ def run_gangbo_swiech(config: ScenarioConfig) -> dict:
     reconstruction = None
     if not degenerate:
         j0 = inst.n_axes - 1
-        _, brep = reconstruct_from_pair_reductions(inst, res.potentials, j0,
-                                                   res.plan, pairs)
+        _, brep = reconstruct_from_pair_reductions(inst, pairs, j0, res.plan)
         if not brep.hypothesis_holds:
             degenerate = True
         reconstruction = {
@@ -516,7 +515,9 @@ def run_gangbo_swiech(config: ScenarioConfig) -> dict:
                            and brep.tv_to_plan < 1e-9),
         }
 
-    _, trep = gangbo_swiech_maps(inst, res.potentials, plan=res.plan)
+    conjugates = build_gs_conjugates(
+        inst, {j: red.reduced_cost for j, (red, _) in pairs.items()})
+    _, trep = gangbo_swiech_maps(inst, res.potentials, conjugates, plan=res.plan)
     cert = lp.uniqueness_certificate(inst, res)
 
     checks = {

@@ -23,6 +23,7 @@ from momt.errors import (
 from momt.instance import DiscreteInstance
 from momt.lp import Potentials
 from momt.measure import DiscreteMeasure, Space
+from momt.reduction import reduce
 from conftest import random_instance
 
 
@@ -159,11 +160,27 @@ def _gs_instance(seed, n=8, n_axes=3):
     return DiscreteInstance(spaces, measures, CostSpec("surplus", "max"))
 
 
+def _conjugates(inst, potentials):
+    """build_gs_conjugates on the reduced pair tables, as the driver builds them."""
+    if inst.n_axes == 2:
+        return build_gs_conjugates(inst, {1: inst.cost_grid()})
+    return build_gs_conjugates(inst, {
+        j: reduce(inst, potentials, (0, j)).reduced_cost
+        for j in range(1, inst.n_axes)})
+
+
+def _maps(inst, potentials, plan=None):
+    return gangbo_swiech_maps(inst, potentials, _conjugates(inst, potentials),
+                              plan=plan)
+
+
 def test_maps_need_maximized_surplus():
     inst = random_instance(2, kind="attractive", sense="min")
     res = lp.solve(inst)
     with pytest.raises(NotSurplusCost):
-        gangbo_swiech_maps(inst, res.potentials)
+        gangbo_swiech_maps(inst, res.potentials, {})
+    with pytest.raises(NotSurplusCost):
+        build_gs_conjugates(inst, {})
 
 
 def test_single_atom_fixed_point():
@@ -172,7 +189,7 @@ def test_single_atom_fixed_point():
     measures = [DiscreteMeasure(s, np.array([1.0])) for s in spaces]
     inst = DiscreteInstance(spaces, measures, CostSpec("surplus", "max"))
     res = lp.solve(inst)
-    maps, report = gangbo_swiech_maps(inst, res.potentials, plan=res.plan)
+    maps, report = _maps(inst, res.potentials, plan=res.plan)
     for j in (1, 2):
         assert np.allclose(maps[j][0], a[0], atol=1e-12)
     assert report["agreement_fraction"] == 1.0
@@ -181,7 +198,7 @@ def test_single_atom_fixed_point():
 def test_seed42_agreement_is_exact():
     inst = _gs_instance(42)
     res = lp.solve(inst)
-    maps, report = gangbo_swiech_maps(inst, res.potentials, plan=res.plan)
+    maps, report = _maps(inst, res.potentials, plan=res.plan)
     assert report["agreement_fraction"] == 1.0
     assert report["max_point_distance"] < 1e-9
 
@@ -189,7 +206,7 @@ def test_seed42_agreement_is_exact():
 def test_maps_well_defined_per_atom():
     inst = _gs_instance(7, n=6)
     res = lp.solve(inst)
-    maps, _ = gangbo_swiech_maps(inst, res.potentials, plan=res.plan)
+    maps, _ = _maps(inst, res.potentials, plan=res.plan)
     for j, images in maps.items():
         assert images.shape == (6, 2)
         assert np.isfinite(images).all()
@@ -200,12 +217,12 @@ def test_maps_invariant_under_constant_regauge():
     # argmax unchanged, hence the maps too
     inst = _gs_instance(11, n=5)
     res = lp.solve(inst)
-    maps_a, _ = gangbo_swiech_maps(inst, res.potentials)
+    maps_a, _ = _maps(inst, res.potentials)
     shifted = [v.copy() for v in res.potentials.vectors]
     shifted[0] = shifted[0] + 3.7
     shifted[1] = shifted[1] - 1.2
     shifted[2] = shifted[2] - 2.5
-    maps_b, _ = gangbo_swiech_maps(inst, Potentials(shifted, "max"))
+    maps_b, _ = _maps(inst, Potentials(shifted, "max"))
     for j in maps_a:
         assert np.allclose(maps_a[j], maps_b[j], atol=1e-10)
 
@@ -228,7 +245,7 @@ def test_dual_gradient_matches_support_selection():
 def test_conjugate_tables_sample_all_pair_sums():
     inst = _gs_instance(5, n=4)
     res = lp.solve(inst)
-    tables = build_gs_conjugates(inst, res.potentials)
+    tables = _conjugates(inst, res.potentials)
     assert sorted(tables) == [1, 2]
     assert tables[1].samples.shape == (16, 2)
     # Fenchel-Young holds on the table itself
@@ -270,7 +287,7 @@ def test_conjugate_tables_match_the_complement_fold(n_axes, n):
     for seed in range(4):
         inst = _gs_instance(seed, n=n, n_axes=n_axes)
         res = lp.solve(inst)
-        tables = build_gs_conjugates(inst, res.potentials)
+        tables = _conjugates(inst, res.potentials)
         assert sorted(tables) == list(range(1, n_axes))
         for j, table in tables.items():
             psi = fold_complement(inst, res.potentials, j, table.samples)

@@ -187,23 +187,29 @@ def test_gs_generic_seeds_pass():
 @pytest.mark.parametrize("n_axes", [3, 4])
 def test_gs_solves_each_pair_reduction_once(monkeypatch, n_axes):
     # the full problem plus the N - 1 pair reductions, which the driver's
-    # checks and the reconstruction share
+    # checks, the reconstruction and the conjugate tables share
     from momt import reduction
 
-    calls = []
+    calls, reduced = [], []
 
     def counting(instance, *args, **kwargs):
         calls.append(instance.n_axes)
         return real(instance, *args, **kwargs)
 
-    real = lp.solve
+    def counting_reduce(instance, potentials, subset):
+        reduced.append(tuple(subset))
+        return real_reduce(instance, potentials, subset)
+
+    real, real_reduce = lp.solve, reduction.reduce
     monkeypatch.setattr(lp, "solve", counting)
     monkeypatch.setattr(reduction, "solve", counting)
+    monkeypatch.setattr(reduction, "reduce", counting_reduce)
     cfg = ScenarioConfig("gs", seed=2, sizes=(4,))
     cfg.extras["n_axes"] = n_axes
     report = run_scenario(cfg)
     assert report["checks"]["reconstruction"] is not None
     assert calls == [n_axes] + [2] * (n_axes - 1)
+    assert reduced == [(0, j) for j in range(1, n_axes)]
 
 
 def test_mq_run_generic():
