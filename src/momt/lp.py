@@ -1,18 +1,21 @@
 """Exact primal/dual solver for discrete Monge-Kantorovich linear programs.
 
-The solver is a revised simplex over the dense column grid.  It prices by
-the most negative reduced cost (Dantzig) and, after a run of degenerate
-pivots, falls back to Bland's rule until a pivot makes progress, so it
-cannot cycle.  The basis inverse is kept by rank-one updates and
-refactorised at a fixed interval and before optimality is declared.
-`solve` starts from an N-marginal north-west-corner staircase basis (no
-phase 1) on the cost normalised to minimum 0 and span 1, and returns a
-basic (vertex) plan with strictly complementary potentials: their active
-set is the union of all optimal supports, whatever the pivot path.  The
-face LP that makes them so also decides uniqueness: it either proves the
-vertex the only optimal plan or returns a second optimal vertex, which
-`uniqueness_certificate` turns into a witness without an LP of its own.
-General polytopes (`solve_model`) start with a phase 1 over artificials.
+The solver is a revised simplex.  It prices by the most negative reduced
+cost (Dantzig) and, after a run of degenerate pivots, falls back to Bland's
+rule until a pivot makes progress, so it cannot cycle.  The basis inverse is
+kept by rank-one updates and refactorised at a fixed interval and before
+optimality is declared.  `solve` builds no constraint matrix: a transport
+column holds one 1 per axis block, so pricing is the broadcast
+c - sum_k y_k[i_k] and a column is N index writes (`_TransportColumns`).  It
+starts from a least-cost basis (no phase 1) on the cost normalised to
+minimum 0 and span 1, and returns a basic (vertex) plan with strictly
+complementary potentials: their active set is the union of all optimal
+supports, whatever the pivot path.  The face LP that makes them so also
+decides uniqueness: it either proves the vertex the only optimal plan or
+returns a second optimal vertex, which `uniqueness_certificate` turns into
+a witness without an LP of its own.
+General polytopes (`PolytopeModel`, `solve_model`) keep a dense matrix and
+start with a phase 1 over artificials.
 Maximization instances are negated internally and the sense is restored in
 all reported quantities.  Everything is deterministic.
 
@@ -70,10 +73,11 @@ class PolytopeModel:
     """Equality-form LP data A x = b, x >= 0 over a flattened multi-index grid.
 
     Rows are grouped by constraint block; linearly dependent rows are dropped
-    deterministically so the kept system has full row rank.  For the standard
-    chain of single-axis marginals the drop rule is structural: the last row
-    of every marginal after the first (their block sums all equal the total
-    mass).  General systems fall back to a greedy numeric selection.
+    greedily in row order (`_spanning_rows`), so the kept system has full
+    row rank.  For the standard chain of single-axis marginals that drops
+    the last row of every marginal after the first (their block sums all
+    equal the total mass).  `solve` does not use this class: its columns
+    stay implicit (`_TransportColumns`).
     """
 
     def __init__(self, arities, constraints, grid_cap=DEFAULT_GRID_CAP):
@@ -82,6 +86,10 @@ class PolytopeModel:
         if self.n_cols > grid_cap:
             raise InstanceTooLarge(
                 f"grid has {self.n_cols} cells, cap is {grid_cap}"
+            )
+        if self.n_cols > 20_000:
+            raise InstanceTooLarge(
+                "general constraint systems are limited to 20000 grid cells"
             )
         self.constraints = list(constraints)
         self._build()
@@ -105,44 +113,23 @@ class PolytopeModel:
         A_full = np.vstack(rows) if rows else np.zeros((0, self.n_cols))
         b_full = np.concatenate(rhs) if rhs else np.zeros(0)
         self.row_meta = meta
-
-        keep = self._independent_rows(A_full)
+        keep = _spanning_rows(A_full)
         self.kept = keep
         self.A = A_full[keep]
         self.b = b_full[keep]
         self.A_full = A_full
         self.b_full = b_full
 
-    def _independent_rows(self, A_full):
-        single_axis = all(len(c.axes) == 1 for c in self.constraints)
-        covers = sorted(a for c in self.constraints for a in c.axes)
-        if single_axis and covers == list(range(len(self.arities))):
-            keep = []
-            offset = 0
-            for ci, con in enumerate(self.constraints):
-                block_len = self.arities[con.axes[0]]
-                last = offset + block_len - 1
-                for r in range(offset, offset + block_len):
-                    if ci > 0 and r == last:
-                        continue
-                    keep.append(r)
-                offset += block_len
-            return keep
-        if self.n_cols > 20_000:
-            raise InstanceTooLarge(
-                "general constraint systems are limited to 20000 grid cells"
-            )
-        return _spanning_rows(A_full)
-
     def check_feasible(self, plan: Coupling, tol: float = 1e-8):
         """Raise MarginalMismatch if the plan violates any constraint block."""
-        for con in self.constraints:
-            dev = float(np.abs(plan.marginal_on(con.axes) - con.target).max())
-            if dev > tol:
-                raise MarginalMismatch(con.axes, dev)
+        _check_marginals(plan, self.constraints, tol)
 
-    def columns(self, cols) -> np.ndarray:
-        return self.A[:, cols]
+
+def _check_marginals(plan, constraints, tol=1e-8):
+    for con in constraints:
+        dev = float(np.abs(plan.marginal_on(con.axes) - con.target).max())
+        if dev > tol:
+            raise MarginalMismatch(con.axes, dev)
 
 
 def _spanning_rows(A, b=None) -> list[int]:
@@ -167,9 +154,96 @@ def _spanning_rows(A, b=None) -> list[int]:
 
 def standard_model(measures: list[DiscreteMeasure],
                    grid_cap=DEFAULT_GRID_CAP) -> PolytopeModel:
+    """Dense model of the standard problem (the oracle's and the tests')."""
     arities = tuple(m.size for m in measures)
     cons = [MarginalConstraint((k,), m.weights) for k, m in enumerate(measures)]
     return PolytopeModel(arities, cons, grid_cap=grid_cap)
+
+
+# ---------------------------------------------------------------------------
+# constraint columns
+# ---------------------------------------------------------------------------
+# The simplex sees the columns of A through three operations: `price(y)` is
+# y @ A, `column(j)` is A[:, j], and `matrix(ids)` puts the columns `ids`
+# side by side, where ids >= n stand for the artificial unit columns of a
+# phase 1.
+
+class _DenseColumns:
+    """Columns of an explicit constraint matrix."""
+
+    def __init__(self, A):
+        self.A = A
+        self.n = A.shape[1]
+
+    def price(self, y):
+        return y @ self.A
+
+    def column(self, j):
+        return self.A[:, j]
+
+    def matrix(self, ids):
+        out = np.zeros((self.A.shape[0], len(ids)))
+        for p, col in enumerate(ids):
+            if col < self.n:
+                out[:, p] = self.A[:, col]
+            else:
+                out[col - self.n, p] = 1.0
+        return out
+
+
+class _TransportColumns:
+    """Columns of the standard model, kept implicit.
+
+    Cell (i_1, ..., i_N) has a 1 in row block k at atom i_k.  The rows are
+    those `standard_model` keeps: every atom of the first marginal and all
+    but the last atom of each later one.  `rows[k][i]` is the row of atom i
+    of axis k, or m for a dropped row; a row vector y read through `rows`
+    with a zero appended gives one vector per axis (`split`), and pricing is
+    their broadcast sum.
+    """
+
+    def __init__(self, measures: list[DiscreteMeasure]):
+        self.arities = tuple(m.size for m in measures)
+        self.n = int(np.prod(self.arities))
+        self.m = sum(self.arities) - len(self.arities) + 1
+        self.rows, start = [], 0
+        for k, size in enumerate(self.arities):
+            kept = size if k == 0 else size - 1
+            rows = np.full(size, self.m)
+            rows[:kept] = np.arange(start, start + kept)
+            self.rows.append(rows)
+            start += kept
+        b = np.zeros(self.m + 1)
+        for r, meas in zip(self.rows, measures):
+            b[r] = meas.weights
+        self.b = b[:self.m]
+
+    def split(self, y):
+        """Per-axis vectors of the row vector y, zero at the dropped rows."""
+        padded = np.append(y, 0.0)
+        return [padded[r] for r in self.rows]
+
+    def price(self, y):
+        parts = self.split(y)
+        total = parts[0]
+        for part in parts[1:]:
+            total = np.add.outer(total, part)
+        return total.reshape(-1)
+
+    def column(self, j):
+        out = np.zeros(self.m + 1)
+        for r, size in zip(reversed(self.rows), reversed(self.arities)):
+            j, i = divmod(j, size)
+            out[r[i]] = 1.0
+        return out[:self.m]
+
+    def matrix(self, ids):
+        out = np.zeros((self.m + 1, len(ids)))
+        pos = np.arange(len(ids))
+        for r, i in zip(self.rows, np.unravel_index(np.asarray(ids, dtype=int),
+                                                     self.arities)):
+            out[r[i], pos] = 1.0
+        return out[:self.m]
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +266,10 @@ class _SimplexState:
     updates: int = 0          # rank-one updates since the last factorisation
 
 
-def _basis_matrix(A, m, basis):
-    B = np.empty((m, m))
-    for p, col in enumerate(basis):
-        if col >= A.shape[1]:
-            B[:, p] = 0.0
-            B[col - A.shape[1], p] = 1.0
-        else:
-            B[:, p] = A[:, col]
-    return B
-
-
-def _refactor(A, state):
-    m = A.shape[0]
+def _refactor(cols, state):
+    m = len(state.basis)
     try:
-        state.inverse = np.linalg.solve(_basis_matrix(A, m, state.basis), np.eye(m))
+        state.inverse = np.linalg.solve(cols.matrix(state.basis), np.eye(m))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular basis: {exc}") from exc
     state.updates = 0
@@ -222,14 +285,7 @@ def _exchange(state, p, entering, d):
     state.updates += 1
 
 
-def _in_basis(state, n):
-    mask = np.zeros(n, dtype=bool)
-    cols = np.asarray(state.basis)
-    mask[cols[cols < n]] = True
-    return mask
-
-
-def _pivot_loop(A, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
+def _pivot_loop(cols, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
     """Pivot until no allowed column prices out (min sense); return (xB, y).
 
     Dantzig pricing enters the most negative reduced cost and leaves on the
@@ -238,31 +294,33 @@ def _pivot_loop(A, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
     over until a pivot makes progress, so the loop cannot cycle.  Optimality
     is only declared, and small pivots only taken, on a freshly factorised
     basis; a column whose pivot is tiny even then would make the basis
-    near-singular, and is passed over until the next pivot.
+    near-singular, and is passed over until the next pivot.  `blocked` holds
+    the columns that may not enter: basic, not allowed, or passed over.
     """
-    m, n = A.shape
-    in_basis = _in_basis(state, n)
-    rejected = np.zeros(n, dtype=bool)
+    m, n = len(b), cols.n
+    blocked = ~allow_enter
+    basic = np.asarray(state.basis)
+    blocked[basic[basic < n]] = True
+    rejected = []
     stalled = 0
     while True:
         if state.inverse is None or state.updates >= _REFACTOR_EVERY:
-            _refactor(A, state)
+            _refactor(cols, state)
         inv = state.inverse
         xB = inv @ b
         y = costs[state.basis] @ inv
-        reduced = costs[:n] - y @ A
-        candidates = allow_enter & ~in_basis & ~rejected & (reduced < -REDUCED_COST_TOL)
-        if not candidates.any():
+        reduced = costs[:n] - cols.price(y)
+        np.putmask(reduced, blocked, np.inf)
+        entering = int(np.argmin(reduced))
+        if not reduced[entering] < -REDUCED_COST_TOL:
             if state.updates == 0:
                 return xB, y
             state.inverse = None           # price again on a fresh factorisation
             continue
         bland = stalled >= _STALL_PIVOTS
         if bland:
-            entering = int(np.argmax(candidates))
-        else:
-            entering = int(np.argmin(np.where(candidates, reduced, np.inf)))
-        d = inv @ A[:, entering]
+            entering = int(np.argmax(reduced < -REDUCED_COST_TOL))
+        d = inv @ cols.column(entering)
         pos = d > RATIO_TOL
         if not pos.any():
             raise SolverError("unbounded direction on a mass polytope")
@@ -274,20 +332,24 @@ def _pivot_loop(A, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
             leaving = min(tied, key=lambda p: state.basis[p])
         else:
             leaving = tied[np.argmax(d[tied])]
-        if state.updates and d[leaving] < _SMALL_PIVOT * np.abs(d).max():
+        dmax = np.abs(d).max()
+        if state.updates and d[leaving] < _SMALL_PIVOT * dmax:
             state.inverse = None           # may be update noise: recompute it
             continue
-        if d[leaving] < _TINY_PIVOT * np.abs(d).max():
-            rejected[entering] = True
+        if d[leaving] < _TINY_PIVOT * dmax:
+            blocked[entering] = True
+            rejected.append(entering)
             continue
-        rejected[:] = False
+        if rejected:
+            blocked[rejected] = False
+            rejected.clear()
         state.iterations += 1
         if state.iterations > max_iter:
             raise SolverError("simplex iteration cap exceeded")
         stalled = stalled + 1 if rmin <= RATIO_TOL else 0
         if state.basis[leaving] < n:
-            in_basis[state.basis[leaving]] = False
-        in_basis[entering] = True
+            blocked[state.basis[leaving]] = not allow_enter[state.basis[leaving]]
+        blocked[entering] = True
         _exchange(state, leaving, entering, d)
 
 
@@ -306,11 +368,13 @@ def _feasible_basis(A, b, max_iter=_MAX_PIVOTS):
     m, n = A.shape
     state = _SimplexState(basis=[n + i for i in range(m)], inverse=np.eye(m))
     phase1 = np.concatenate([np.zeros(n), np.ones(m)])
-    xB, _ = _pivot_loop(A, b, phase1, state, np.ones(n, dtype=bool), max_iter)
+    xB, _ = _pivot_loop(_DenseColumns(A), b, phase1, state,
+                        np.ones(n, dtype=bool), max_iter)
     infeas = sum(xB[p] for p in range(m) if state.basis[p] >= n)
     if infeas > 1e-9:
         raise SolverError(f"phase-1 infeasibility {infeas:.3e}")
-    in_basis = _in_basis(state, n)
+    in_basis = np.zeros(n, dtype=bool)
+    in_basis[[col for col in state.basis if col < n]] = True
     for p in range(m):
         if state.basis[p] < n:
             continue
@@ -339,7 +403,7 @@ def _simplex(A, b, costs, max_iter=_MAX_PIVOTS, basis=None):
         state = _feasible_basis(A, b, max_iter)
     else:
         state = _SimplexState(basis=list(basis))
-    xB, y = _pivot_loop(A, b, np.asarray(costs, float), state,
+    xB, y = _pivot_loop(_DenseColumns(A), b, np.asarray(costs, float), state,
                         np.ones(n, dtype=bool), max_iter)
     x = _basic_solution(xB, state, n)
     return x, y * np.where(neg, -1.0, 1.0), state.iterations
@@ -441,33 +505,39 @@ def _coupling_from_x(x: np.ndarray, arities: tuple[int, ...]) -> Coupling:
     return Coupling(arities, entries)
 
 
-def _staircase_basis(measures: list[DiscreteMeasure]) -> list[int]:
-    """North-west-corner basis of the standard model.
+def _least_cost_basis(measures: list[DiscreteMeasure], c: np.ndarray) -> list[int]:
+    """Least-cost start basis of the standard model for the flat cost c.
 
-    Walk from cell (0, ..., 0), placing as much mass as every current atom
-    has left, and advance exactly one axis per step: the one whose atom has
-    least mass left, among axes not at their last atom (lowest axis on
-    ties).  That gives sum(n_k) - N + 1 cells; each one but the last is the
-    final cell of the atom it leaves, and the last holds the last atom of
-    axis 0, so the columns are triangular on the kept rows, hence a basis,
-    and the placed masses make it feasible.
+    Take the cheapest cell among live atoms (lowest index on ties), place
+    as much mass as every one of its atoms has left, and retire exactly one
+    of them: the one with least mass left, among axes that still have more
+    than one live atom (lowest axis on ties).  That gives sum(n_k) - N + 1
+    cells.  The atom a cell retires is in no later cell, so on the rows of
+    the retired atoms the columns are triangular, hence independent; the
+    dropped rows of `standard_model` are sums of kept ones, so the cells
+    are a basis, and the placed masses make it feasible.
     """
     arities = tuple(m.size for m in measures)
     left = [m.weights.copy() for m in measures]
-    at = [0] * len(arities)
+    live = list(arities)
+    free = c.reshape(arities).copy()
     cells = []
     while True:
-        cells.append(int(np.ravel_multi_index(at, arities)))
+        cell = int(np.argmin(free))
+        at = np.unravel_index(cell, arities)
+        cells.append(cell)
         mass = min(w[i] for w, i in zip(left, at))
         for w, i in zip(left, at):
             w[i] -= mass
-        movable = [k for k, n in enumerate(arities) if at[k] < n - 1]
+        movable = [k for k in range(len(arities)) if live[k] > 1]
         if not movable:
             return cells
-        at[min(movable, key=lambda k: left[k][at[k]])] += 1
+        k = min(movable, key=lambda k: left[k][at[k]])
+        live[k] -= 1
+        free[(slice(None),) * k + (at[k],)] = np.inf
 
 
-def _strictly_complementary(A, b, c, x, y, state):
+def _strictly_complementary(cols, b, c, x, y, state):
     """Move optimal duals y onto the relative interior of the dual face.
 
     Returns them with the first positive face-LP solution, or None.  Cells
@@ -483,7 +553,7 @@ def _strictly_complementary(A, b, c, x, y, state):
     cells it frees (Goldman-Tucker strict complementarity).
     """
     known = x > MASS_FLOOR
-    reduced = c - y @ A
+    reduced = c - cols.price(y)
     active = reduced <= ACTIVE_TOL
     second = None
     while True:
@@ -491,14 +561,14 @@ def _strictly_complementary(A, b, c, x, y, state):
         if not off.any():
             return y, second
         face = -off.astype(float)
-        xB, psi = _pivot_loop(A, b, face, state, active)
-        xf = _basic_solution(xB, state, A.shape[1])
+        xB, psi = _pivot_loop(cols, b, face, state, active)
+        xf = _basic_solution(xB, state, cols.n)
         if xf[off].sum() > _FACE_MASS_TOL:
             if second is None:
                 second = xf
             known |= off & (xf > MASS_FLOOR)
             continue
-        a = psi @ A
+        a = cols.price(psi)
         freed = float(-a[off].max())
         blocking = ~active & (a > 0)
         eps = 1.0 / freed
@@ -517,30 +587,36 @@ def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> Solve
     potentials are strictly complementary: their active set (within
     ACTIVE_TOL times the span) is the union of all optimal supports.
     """
+    if instance.grid_size() > grid_cap:
+        raise InstanceTooLarge(
+            f"grid has {instance.grid_size()} cells, cap is {grid_cap}"
+        )
     grid = instance.cost_grid()
     if not np.isfinite(grid).all():
         raise NonFiniteCost("cost grid contains non-finite values")
-    model = standard_model(instance.measures, grid_cap=grid_cap)
+    cols = _TransportColumns(instance.measures)
     sign = -1.0 if instance.sense == "max" else 1.0
     c = sign * grid.reshape(-1)
     shift = float(c.min())
     span = float(c.max() - shift) or 1.0
     c = (c - shift) / span
-    state = _SimplexState(basis=_staircase_basis(instance.measures))
-    xB, y = _pivot_loop(model.A, model.b, c, state, np.ones(model.n_cols, dtype=bool))
-    x = _basic_solution(xB, state, model.n_cols)
-    y, second = _strictly_complementary(model.A, model.b, c, x, y, state)
+    state = _SimplexState(basis=_least_cost_basis(instance.measures, c))
+    xB, y = _pivot_loop(cols, cols.b, c, state, np.ones(cols.n, dtype=bool))
+    x = _basic_solution(xB, state, cols.n)
+    y, second = _strictly_complementary(cols, cols.b, c, x, y, state)
 
-    residual = np.abs(model.A_full @ x - model.b_full).max()
+    x_grid = x.reshape(instance.arities)
+    residual = max(
+        np.abs(x_grid.sum(axis=tuple(a for a in range(instance.n_axes) if a != k))
+               - meas.weights).max()
+        for k, meas in enumerate(instance.measures)
+    )
     if residual > 1e-8:
         raise SolverError(f"optimal basis violates marginals by {residual:.3e}")
 
     plan = _coupling_from_x(x, instance.arities)
 
-    vectors = [np.zeros(n) for n in instance.arities]
-    for r, kept_row in enumerate(model.kept):
-        ci, pos = model.row_meta[kept_row]
-        vectors[ci][pos] = sign * span * y[r]
+    vectors = cols.split(sign * span * y)
     vectors[0] += sign * shift
     vectors = _canonical_gauge(vectors, instance.measures)
     potentials = Potentials(vectors, instance.sense)
@@ -570,24 +646,27 @@ def solve_model(model: PolytopeModel, cost_vector: np.ndarray,
 # vertex test
 # ---------------------------------------------------------------------------
 
-def _as_model(constraints, arities=None) -> PolytopeModel:
-    if isinstance(constraints, PolytopeModel):
-        return constraints
-    if constraints and isinstance(constraints[0], DiscreteMeasure):
-        return standard_model(constraints)
-    return PolytopeModel(arities, constraints)
-
-
 def is_vertex(plan: Coupling, constraints, tol: float = VERTEX_PIVOT_TOL) -> bool:
-    """True iff the constraint columns active on the support are independent."""
-    model = _as_model(constraints, plan.arities)
-    model.check_feasible(plan)
+    """True iff the constraint columns active on the support are independent.
+
+    `constraints` is a PolytopeModel, a list of MarginalConstraint, or the
+    list of marginals of the standard problem, whose columns stay implicit.
+    """
+    if not isinstance(constraints, PolytopeModel) and constraints \
+            and isinstance(constraints[0], DiscreteMeasure):
+        _check_marginals(plan, [MarginalConstraint((k,), m.weights)
+                                for k, m in enumerate(constraints)])
+        columns = _TransportColumns(constraints)
+    else:
+        model = (constraints if isinstance(constraints, PolytopeModel)
+                 else PolytopeModel(plan.arities, constraints))
+        model.check_feasible(plan)
+        columns = _DenseColumns(model.A)
     support = plan.support()
     if not support:
         return True
     cols = [int(np.ravel_multi_index(idx, plan.arities)) for idx in support]
-    sub = model.columns(cols)
-    rank = np.linalg.matrix_rank(sub, tol=tol)
+    rank = np.linalg.matrix_rank(columns.matrix(cols), tol=tol)
     return int(rank) == len(cols)
 
 
@@ -637,7 +716,7 @@ def enumerate_vertices(model: PolytopeModel, max_bases: int = 200_000):
                 f"basis graph exceeded {max_bases} bases during enumeration"
             )
         basis = list(queue.pop())
-        B = _basis_matrix(A, m, basis)
+        B = A[:, basis]
         xB = np.linalg.solve(B, b)
         x = np.zeros(model.n_cols)
         for p, col in enumerate(basis):

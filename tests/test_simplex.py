@@ -101,12 +101,28 @@ def test_values_match_highs_beyond_oracle_caps():
         assert abs(res.value - sign * ref.fun) <= GAP_TOL * np.ptp(grid), seed
 
 
-def test_staircase_basis_is_feasible_and_full_rank():
+def _start_instances():
     for seed in range(10):
-        inst = random_instance(seed + 500, n_axes=2 + seed % 4, max_atoms=5,
-                               uniform=seed % 2 == 0)
+        yield random_instance(seed + 500, n_axes=2 + seed % 4, max_atoms=5,
+                              uniform=seed % 2 == 0)
+    rng = np.random.default_rng(11)
+    for shape in [(4, 4), (3, 5, 2), (2, 3, 1, 4), (3, 3, 3, 2, 2)]:
+        uniform = [np.ones(n) / n for n in shape]
+        dirichlet = [rng.dirichlet(np.ones(n)) for n in shape]
+        yield tensor_instance(np.zeros(shape), uniform)        # constant cost
+        yield tensor_instance(np.zeros(shape), dirichlet)
+        # exact ties among few cost levels, degenerate and generic weights
+        yield tensor_instance(rng.integers(0, 3, shape).astype(float), uniform)
+        yield tensor_instance(rng.integers(0, 2, shape).astype(float), dirichlet)
+
+
+def test_least_cost_basis_is_feasible_and_full_rank():
+    for inst in _start_instances():
         model = lp.standard_model(inst.measures)
-        cells = lp._staircase_basis(inst.measures)
+        c = inst.cost_grid().reshape(-1)
+        c = (c - c.min()) / (float(np.ptp(c)) or 1.0)
+        cells = lp._least_cost_basis(inst.measures, c)
+        assert cells[0] == int(np.argmin(c))
         assert len(cells) == sum(inst.arities) - inst.n_axes + 1 == model.A.shape[0]
         B = model.A[:, cells]
         assert np.linalg.matrix_rank(B) == len(cells)
