@@ -1,16 +1,16 @@
 """Exact primal/dual solver for discrete Monge-Kantorovich linear programs.
 
 The solver is a revised simplex.  It prices by the most negative reduced
-cost (Dantzig) and, after a run of degenerate pivots, falls back to Bland's
-rule until a pivot makes progress, so it cannot cycle.  The basis inverse is
-kept by rank-one updates and refactorised at a fixed interval and before
-optimality is declared.  `solve` builds no constraint matrix: a transport
-column holds one 1 per axis block, so pricing is the broadcast
-c - sum_k y_k[i_k] and a column is N index writes (`_TransportColumns`).  It
-starts from a least-cost basis (no phase 1) on the cost normalised to
-minimum 0 and span 1, and returns a basic (vertex) plan with strictly
-complementary potentials: their active set is the union of all optimal
-supports, whatever the pivot path.  The face LP that makes them so also
+cost (Dantzig) and, after a run of degenerate pivots, leaves by the
+lexicographic ratio test until a pivot makes progress, so it cannot cycle.
+The basis inverse is kept by rank-one updates and refactorised at a fixed
+interval and before optimality is declared.  `solve` builds no constraint
+matrix: a transport column holds one 1 per axis block, so pricing is the
+broadcast c - sum_k y_k[i_k] and a column is N index writes
+(`_TransportColumns`).  It starts from a least-cost basis (no phase 1) on
+the cost normalised to minimum 0 and span 1, and returns a basic (vertex)
+plan with strictly complementary potentials: their active set is the union
+of all optimal supports, whatever the pivot path.  The face LP that makes them so also
 decides uniqueness: it either proves the vertex the only optimal plan or
 returns a second optimal vertex, which `uniqueness_certificate` turns into
 a witness without an LP of its own.
@@ -18,6 +18,11 @@ General polytopes (`PolytopeModel`, `solve_model`) keep a dense matrix and
 start with a phase 1 over artificials.
 Maximization instances are negated internally and the sense is restored in
 all reported quantities.  Everything is deterministic.
+
+The vertex oracle (`enumerate_vertices`, `oracle_enumerate`) pivots through
+the lexicographically feasible bases of a polytope, one leaving row per
+entering column, and so reaches every vertex without visiting every basis
+of a degenerate one.
 
 A polytope is described by marginal-type equality constraints: each
 constraint pins the plan's restriction to a block of axes.  The standard
@@ -163,10 +168,10 @@ def standard_model(measures: list[DiscreteMeasure],
 # ---------------------------------------------------------------------------
 # constraint columns
 # ---------------------------------------------------------------------------
-# The simplex sees the columns of A through three operations: `price(y)` is
-# y @ A, `column(j)` is A[:, j], and `matrix(ids)` puts the columns `ids`
-# side by side, where ids >= n stand for the artificial unit columns of a
-# phase 1.
+# The simplex sees the columns of A through four operations: `price(y)` is
+# y @ A, `column(j)` is A[:, j], `matrix(ids)` puts the columns `ids` side
+# by side, where ids >= n stand for the artificial unit columns of a
+# phase 1, and `product(M, ids)` is M @ matrix(ids).
 
 class _DenseColumns:
     """Columns of an explicit constraint matrix."""
@@ -189,6 +194,9 @@ class _DenseColumns:
             else:
                 out[col - self.n, p] = 1.0
         return out
+
+    def product(self, M, ids):
+        return M @ self.matrix(ids)
 
 
 class _TransportColumns:
@@ -245,17 +253,23 @@ class _TransportColumns:
             out[r[i], pos] = 1.0
         return out[:self.m]
 
+    def product(self, M, ids):
+        padded = np.hstack([M, np.zeros((len(M), 1))])
+        at = np.unravel_index(np.asarray(ids, dtype=int), self.arities)
+        return sum(padded[:, r[i]] for r, i in zip(self.rows, at))
+
 
 # ---------------------------------------------------------------------------
 # revised simplex
 # ---------------------------------------------------------------------------
 
 _MAX_PIVOTS = 200_000
-_STALL_PIVOTS = 40       # degenerate pivots in a row before Bland's rule takes over
+_STALL_PIVOTS = 40       # degenerate pivots in a row before the lexicographic rule
 _REFACTOR_EVERY = 50     # rank-one updates between fresh basis factorisations
 _FACE_MASS_TOL = 1e-9    # off-support mass below which a face LP optimum is zero
 _SMALL_PIVOT = 1e-3      # pivots this small relative to their column get a fresh B^{-1}
 _TINY_PIVOT = 1e-7       # and this small even then are refused, as near-singular
+_LEX_TOL = 1e-9          # perturbation ratios this close tie in the lexicographic test
 
 
 @dataclass
@@ -290,12 +304,14 @@ def _pivot_loop(cols, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
 
     Dantzig pricing enters the most negative reduced cost and leaves on the
     largest pivot among ratio ties.  After _STALL_PIVOTS degenerate pivots in
-    a row, Bland's rule (lowest entering index, lowest leaving column) takes
-    over until a pivot makes progress, so the loop cannot cycle.  Optimality
-    is only declared, and small pivots only taken, on a freshly factorised
-    basis; a column whose pivot is tiny even then would make the basis
-    near-singular, and is passed over until the next pivot.  `blocked` holds
-    the columns that may not enter: basic, not allowed, or passed over.
+    a row, the current basis becomes the anchor of a lexicographic leaving
+    rule (`_lex_leaving`) until a pivot makes progress: every basis is then
+    lexicographically feasible for the anchor's perturbation, on which each
+    pivot makes progress, so the loop cannot cycle.  Optimality is only
+    declared, and small pivots only taken, on a freshly factorised basis; a
+    column whose pivot is tiny even then would make the basis near-singular,
+    and is passed over until the next pivot.  `blocked` holds the columns
+    that may not enter: basic, not allowed, or passed over.
     """
     m, n = len(b), cols.n
     blocked = ~allow_enter
@@ -303,6 +319,7 @@ def _pivot_loop(cols, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
     blocked[basic[basic < n]] = True
     rejected = []
     stalled = 0
+    anchor = None                          # basis B0 of the lexicographic rule
     while True:
         if state.inverse is None or state.updates >= _REFACTOR_EVERY:
             _refactor(cols, state)
@@ -317,9 +334,8 @@ def _pivot_loop(cols, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
                 return xB, y
             state.inverse = None           # price again on a fresh factorisation
             continue
-        bland = stalled >= _STALL_PIVOTS
-        if bland:
-            entering = int(np.argmax(reduced < -REDUCED_COST_TOL))
+        if stalled >= _STALL_PIVOTS and anchor is None:
+            anchor = list(state.basis)
         d = inv @ cols.column(entering)
         pos = d > RATIO_TOL
         if not pos.any():
@@ -328,8 +344,10 @@ def _pivot_loop(cols, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
         ratios[pos] = np.maximum(xB[pos], 0.0) / d[pos]
         rmin = ratios.min()
         tied = np.flatnonzero(ratios <= rmin + 1e-10 * (1.0 + rmin))
-        if bland:
-            leaving = min(tied, key=lambda p: state.basis[p])
+        if anchor is not None and len(tied) > 1:
+            leaving = tied[_lex_leaving(np.ones((len(tied), 1), dtype=bool),
+                                        d[tied, None],
+                                        cols.product(inv[tied], anchor))[0]]
         else:
             leaving = tied[np.argmax(d[tied])]
         dmax = np.abs(d).max()
@@ -347,6 +365,8 @@ def _pivot_loop(cols, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
         if state.iterations > max_iter:
             raise SolverError("simplex iteration cap exceeded")
         stalled = stalled + 1 if rmin <= RATIO_TOL else 0
+        if not stalled:
+            anchor = None
         if state.basis[leaving] < n:
             blocked[state.basis[leaving]] = not allow_enter[state.basis[leaving]]
         blocked[entering] = True
@@ -498,11 +518,9 @@ def _coupling_from_x(x: np.ndarray, arities: tuple[int, ...]) -> Coupling:
     total = float(x.sum())
     if abs(total - 1.0) > 1e-9:
         raise SolverError(f"solution mass {total!r} is not a probability")
-    entries = {}
-    for col in np.flatnonzero(x > MASS_FLOOR):
-        idx = tuple(int(i) for i in np.unravel_index(col, arities))
-        entries[idx] = float(x[col]) / total
-    return Coupling(arities, entries)
+    cols = np.flatnonzero(x > MASS_FLOOR)
+    idx = zip(*(i.tolist() for i in np.unravel_index(cols, arities)))
+    return Coupling(arities, dict(zip(idx, (x[cols] / total).tolist())))
 
 
 def _least_cost_basis(measures: list[DiscreteMeasure], c: np.ndarray) -> list[int]:
@@ -675,9 +693,8 @@ def is_vertex(plan: Coupling, constraints, tol: float = VERTEX_PIVOT_TOL) -> boo
 # ---------------------------------------------------------------------------
 
 def _vertex_key(x, tol_digits=11):
-    return tuple(
-        (int(c), round(float(x[c]), tol_digits)) for c in np.flatnonzero(x > 1e-10)
-    )
+    cols = np.nonzero(x > 1e-10)[0]
+    return tuple(zip(cols.tolist(), [round(v, tol_digits) for v in x[cols].tolist()]))
 
 
 def _presolve_zero_cells(A, b):
@@ -698,50 +715,98 @@ def _presolve_zero_cells(A, b):
     return A2[keep_rows], b[keep_rows], keep_cols
 
 
-def enumerate_vertices(model: PolytopeModel, max_bases: int = 200_000):
-    """All basic feasible solutions, found by breadth-first pivoting.
+def _lex_leaving(tied, D, W):
+    """Leaving row of each column of D under the lexicographic ratio test.
 
-    Degenerate vertices admit many bases; all of them are visited so no
-    vertex hiding behind a degenerate pivot is missed.
+    `tied` marks, per column d of D, the rows whose ratio x_B / d ties the
+    minimum.  Ties are broken on W[:, 0] / d, then W[:, 1] / d, and so on,
+    where W = B^-1 B0 for an anchor basis B0: this is the ratio test of the
+    right-hand side b + B0 (eps, eps^2, ...), and as W is nonsingular it
+    leaves one row.  W may hold just the rows of D, in the same order.  Some
+    column must have more than one tied row.
+
+    The tied rows of all open columns are packed side by side (NaN pads a
+    column's missing rows); each round drops, in every column still open,
+    the rows above the least ratio at the first j where its rows differ.
+    """
+    leaving = np.argmax(tied, axis=0)
+    counts = tied.sum(axis=0)
+    cols = np.flatnonzero(counts > 1)
+    sub = tied[:, cols].T
+    g, p = np.nonzero(sub)
+    r = (np.cumsum(sub, axis=1) - 1)[g, p]          # place among its column's ties
+    ratios = np.full((cols.size, counts[cols].max(), W.shape[1]), np.nan)
+    ratios[g, r] = W[p] / D[p, cols[g]][:, None]
+    while True:
+        low = np.fmin.reduce(ratios, axis=1)
+        tol = _LEX_TOL * (1.0 + np.abs(low))
+        differs = np.fmax.reduce(ratios, axis=1) - low > tol
+        split = np.flatnonzero(differs.any(axis=1))
+        if not split.size:
+            break
+        j = np.argmax(differs[split], axis=1)
+        gs, rs = np.nonzero(ratios[split, :, j] > (low + tol)[split, j][:, None])
+        ratios[split[gs], rs] = np.nan
+    first = np.argmax(~np.isnan(ratios[:, :, 0]), axis=1)
+    leaving[cols] = p[r == first[g]]
+    return leaving
+
+
+def enumerate_vertices(model: PolytopeModel, max_bases: int = 200_000):
+    """All basic feasible solutions, found by pivoting from a start basis.
+
+    The search visits only lexicographically feasible bases: those of the
+    perturbed right-hand side b + B0 (eps, eps^2, ...), where B0 is the
+    phase-1 start basis, lexicographically feasible itself.  The perturbed
+    polytope is simple, so each entering column has exactly one leaving
+    row (`_lex_leaving`), its bases form a connected graph, and every
+    vertex of the polytope is the limit of one of its vertices (the
+    perturbation argument of Avis-Fukuda reverse search).  So a degenerate
+    vertex is reached through some of its bases, not all of them.  The
+    ratio tests of all entering columns of a basis run as one array pass.
+    Bases are kept as bitmasks of their columns; more than `max_bases`
+    lexicographically feasible bases raise InstanceTooLarge.  Vertices come
+    out sorted by `_vertex_key`, each solved on the first basis that
+    reaches it, columns in ascending order.
     """
     A, b, keep_cols = _presolve_zero_cells(model.A, model.b)
-    m, n = A.shape
-    start = tuple(sorted(_feasible_basis(A, b).basis))
-    seen_bases = {start}
-    queue = [start]
+    n = A.shape[1]
+    bits = [1 << col for col in range(n)]
+    start = _feasible_basis(A, b).basis
+    seen_bases = {sum(bits[col] for col in start)}
+    queue = list(seen_bases)
     vertices: dict[tuple, np.ndarray] = {}
     while queue:
         if len(seen_bases) > max_bases:
             raise InstanceTooLarge(
                 f"basis graph exceeded {max_bases} bases during enumeration"
             )
-        basis = list(queue.pop())
+        key = queue.pop()
+        basis = [col for col in range(n) if key & bits[col]]
         B = A[:, basis]
         xB = np.linalg.solve(B, b)
+        xB = np.where(0.0 > xB, 0.0, xB)          # Python's max(xB, 0.0): keeps -0.0
         x = np.zeros(model.n_cols)
-        for p, col in enumerate(basis):
-            x[keep_cols[col]] = max(xB[p], 0.0)
+        x[keep_cols[basis]] = xB
         vertices.setdefault(_vertex_key(x), x)
-        in_basis = set(basis)
         directions = np.linalg.solve(B, A)
-        for e in range(n):
-            if e in in_basis:
-                continue
-            d = directions[:, e]
-            pos = d > RATIO_TOL
-            if not pos.any():
-                continue
-            ratios = np.full(m, np.inf)
-            ratios[pos] = np.maximum(xB[pos], 0.0) / d[pos]
-            rmin = ratios.min()
-            tied = np.flatnonzero(ratios <= rmin + 1e-10 * (1.0 + rmin))
-            for p in tied:
-                nb = basis.copy()
-                nb[p] = e
-                key = tuple(sorted(nb))
-                if key not in seen_bases:
-                    seen_bases.add(key)
-                    queue.append(key)
+        top = directions.max(axis=0)
+        top[basis] = 0.0                          # basic columns do not enter
+        entering = np.flatnonzero(top > RATIO_TOL)
+        D = directions[:, entering]
+        pos = D > RATIO_TOL
+        ratios = np.divide(xB[:, None], D, out=np.full(D.shape, np.inf), where=pos)
+        rmin = ratios.min(axis=0)
+        tied = ratios <= rmin + 1e-10 * (1.0 + rmin)
+        if tied.sum(axis=0).max(initial=0) > 1:
+            leaving = _lex_leaving(tied, D, directions[:, start])
+        else:
+            leaving = np.argmax(tied, axis=0)
+        fresh = [key ^ bits[basis[p]] | bits[e]
+                 for e, p in zip(entering.tolist(), leaving.tolist())]
+        fresh = [nb for nb in fresh if nb not in seen_bases]
+        seen_bases.update(fresh)
+        queue.extend(fresh)
     return [vertices[k] for k in sorted(vertices)]
 
 
@@ -750,9 +815,13 @@ def oracle_enumerate(instance: DiscreteInstance,
     """Exhaustively enumerate polytope vertices of a small instance.
 
     Hard caps keep this honest: at most 81 grid cells and 12 atoms in total.
-    Degenerate instances inside the caps can still visit more than
-    `max_bases` bases (a 5x5 uniform-weight surplus instance, or 6x6,
-    3x3x3x3 and 4x4x4 random-weight ones) and raise InstanceTooLarge.
+    `max_bases` bounds the lexicographically feasible bases the search
+    discovers (`enumerate_vertices`); past it InstanceTooLarge is raised.
+    A vertex with generic weights has one such basis, so an instance with
+    more than `max_bases` vertices raises: random-weight 6x6 tensor,
+    3x3x3x3 surplus and 4x4x4 tensor instances do, after a few seconds.
+    Degenerate weights give fewer vertices; the 5x5 uniform-weight
+    instance has 120 vertices and 15 000 such bases, and finishes.
     """
     arities = instance.arities
     if int(np.prod(arities)) > ORACLE_GRID_CAP or sum(arities) > ORACLE_ATOM_CAP:

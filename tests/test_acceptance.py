@@ -104,18 +104,24 @@ def test_criterion_02_strong_duality_and_slackness():
     )
 
 
-def test_criterion_03_oracle_agreement():
+def criterion_03_instances():
+    """The oracle battery of criterion 3, in order."""
     rng = np.random.default_rng(5150)
     batteries = [
         (2, (2, 2)), (2, (3, 4)), (2, (5, 5)), (2, (4, 4)),
         (3, (2, 2, 2)), (3, (2, 2, 3)), (3, (2, 3, 3)), (3, (3, 3, 3)),
         (4, (2, 2, 2, 2)),
     ]
+    return [_random_instance(rng, sizes, "surplus", ("min", "max")[i % 2],
+                             uniform=i % 3 == 0)
+            for i, (n_axes, sizes) in enumerate(batteries)]
+
+
+def test_criterion_03_oracle_agreement():
     worst = 0.0
     checked = 0
-    for i, (n_axes, sizes) in enumerate(batteries):
-        inst = _random_instance(rng, sizes, "surplus",
-                                ("min", "max")[i % 2], uniform=i % 3 == 0)
+    for inst in criterion_03_instances():
+        sizes = inst.arities
         res = lp.solve(inst)
         values = [v for _, v in lp.oracle_enumerate(inst)]
         best = min(values) if inst.sense == "min" else max(values)

@@ -275,6 +275,38 @@ def test_scenario_batch_is_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # main builds its parser once per process; later calls, including one
+    # after a rejected input, must behave as if each ran in a fresh process
+    two, three = _write(tmp_path, TWO_BY_TWO), _write(tmp_path, THREE_MARGINAL, "three.json")
+    bad = dict(TWO_BY_TWO, version=99)
+    calls = [
+        ["solve", two, "--oracle"],
+        ["reduce", three, "--subset", "1,3"],
+        ["solve", _write(tmp_path, bad, "bad.json")],
+        ["reduce", three],                               # argparse: --subset missing
+        ["diagnose", three, "--max-cycle", "2"],
+        ["scenario", "shells", "--n", "6", "--seed", "2"],
+        ["solve", two, "--oracle"],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "momt.cli", *argv],
+                              capture_output=True, text=True, env=_cli_env(),
+                              timeout=120)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [c for c, _, _ in in_process] == [0, 0, 2, 2, 0, 0, 0]
+    assert in_process == fresh
+
+
 def test_instance_round_trip_is_byte_identical(tmp_path):
     doc = THREE_MARGINAL
     inst = load_instance_dict(doc)
