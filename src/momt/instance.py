@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ class DiscreteInstance:
         return self._cost_cache
 
     def grid_size(self) -> int:
-        return int(np.prod(self.arities))
+        return math.prod(self.arities)
 
 
 def prune_zero_atoms(instance: DiscreteInstance) -> DiscreteInstance:

@@ -4,7 +4,10 @@ The solver is a revised simplex.  It prices by the most negative reduced
 cost (Dantzig) and, after a run of degenerate pivots, leaves by the
 lexicographic ratio test until a pivot makes progress, so it cannot cycle.
 The basis inverse is kept by rank-one updates and refactorised at a fixed
-interval and before optimality is declared.  `solve` builds no constraint
+interval and before optimality is declared.  A pivot makes a fixed handful
+of numpy calls (two products with B^-1, the pricing broadcast, the entering
+column, the rank-one update) and runs its ratio test over Python floats,
+because a basis has only sum(n_k) - N + 1 rows.  `solve` builds no constraint
 matrix: a transport column holds one 1 per axis block, so pricing is the
 broadcast c - sum_k y_k[i_k] and a column is N index writes
 (`_TransportColumns`).  It starts from a least-cost basis (no phase 1) on
@@ -32,6 +35,7 @@ problem uses one single-axis block per marginal; pair-constrained systems
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,7 +216,7 @@ class _TransportColumns:
 
     def __init__(self, measures: list[DiscreteMeasure]):
         self.arities = tuple(m.size for m in measures)
-        self.n = int(np.prod(self.arities))
+        self.n = math.prod(self.arities)
         self.m = sum(self.arities) - len(self.arities) + 1
         self.rows, start = [], 0
         for k, size in enumerate(self.arities):
@@ -225,17 +229,19 @@ class _TransportColumns:
         for r, meas in zip(self.rows, measures):
             b[r] = meas.weights
         self.b = b[:self.m]
+        self._padded = np.zeros(self.m + 1)     # y, then 0 for the dropped rows
 
     def split(self, y):
         """Per-axis vectors of the row vector y, zero at the dropped rows."""
-        padded = np.append(y, 0.0)
-        return [padded[r] for r in self.rows]
+        self._padded[:self.m] = y
+        return [self._padded.take(r) for r in self.rows]
 
     def price(self, y):
-        parts = self.split(y)
-        total = parts[0]
-        for part in parts[1:]:
-            total = np.add.outer(total, part)
+        padded = self._padded
+        padded[:self.m] = y
+        total = padded.take(self.rows[0])
+        for r in self.rows[1:]:
+            total = np.add.outer(total, padded.take(r))
         return total.reshape(-1)
 
     def column(self, j):
@@ -281,9 +287,8 @@ class _SimplexState:
 
 
 def _refactor(cols, state):
-    m = len(state.basis)
     try:
-        state.inverse = np.linalg.solve(cols.matrix(state.basis), np.eye(m))
+        state.inverse = np.linalg.inv(cols.matrix(state.basis))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular basis: {exc}") from exc
     state.updates = 0
@@ -293,7 +298,7 @@ def _exchange(state, p, entering, d):
     """Put `entering` (whose column is B d) at basis position p."""
     inv = state.inverse
     row = inv[p] / d[p]
-    inv -= np.outer(d, row)
+    inv -= np.multiply.outer(d, row)
     inv[p] = row
     state.basis[p] = entering
     state.updates += 1
@@ -310,13 +315,23 @@ def _pivot_loop(cols, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
     pivot makes progress, so the loop cannot cycle.  Optimality is only
     declared, and small pivots only taken, on a freshly factorised basis; a
     column whose pivot is tiny even then would make the basis near-singular,
-    and is passed over until the next pivot.  `blocked` holds the columns
-    that may not enter: basic, not allowed, or passed over.
+    and is passed over until the next pivot.  `c_open` is the cost with inf
+    on the columns that may not enter: basic, not allowed, or passed over.
+
+    A pass makes a fixed handful of numpy calls: x_B = B^-1 b and
+    y = c_B B^-1 (c_B is kept beside the basis), the reduced costs
+    `c_open` - y A into one reused array, the entering direction
+    d = B^-1 a_q, and the rank-one update of B^-1 in place.  The ratio test,
+    the leaving row and the pivot size tests take one Python pass over the
+    m values of x_B and d: bases have only sum(n_k) - N + 1 rows, where a
+    numpy call costs more than its arithmetic.
     """
-    m, n = len(b), cols.n
-    blocked = ~allow_enter
+    n = cols.n
+    c_B = costs[state.basis]
+    c_open = np.where(allow_enter, costs[:n], np.inf)
     basic = np.asarray(state.basis)
-    blocked[basic[basic < n]] = True
+    c_open[basic[basic < n]] = np.inf
+    reduced = np.empty(n)
     rejected = []
     stalled = 0
     anchor = None                          # basis B0 of the lexicographic rule
@@ -325,11 +340,10 @@ def _pivot_loop(cols, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
             _refactor(cols, state)
         inv = state.inverse
         xB = inv @ b
-        y = costs[state.basis] @ inv
-        reduced = costs[:n] - cols.price(y)
-        np.putmask(reduced, blocked, np.inf)
-        entering = int(np.argmin(reduced))
-        if not reduced[entering] < -REDUCED_COST_TOL:
+        y = c_B @ inv
+        np.subtract(c_open, cols.price(y), out=reduced)
+        entering = int(reduced.argmin())
+        if not reduced.item(entering) < -REDUCED_COST_TOL:
             if state.updates == 0:
                 return xB, y
             state.inverse = None           # price again on a fresh factorisation
@@ -337,29 +351,34 @@ def _pivot_loop(cols, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
         if stalled >= _STALL_PIVOTS and anchor is None:
             anchor = list(state.basis)
         d = inv @ cols.column(entering)
-        pos = d > RATIO_TOL
-        if not pos.any():
+        ds, xs = d.tolist(), xB.tolist()
+        ratios, rmin = [], math.inf
+        for i, di in enumerate(ds):
+            if di > RATIO_TOL:
+                r = max(xs[i], 0.0) / di
+                ratios.append((i, r))
+                if r < rmin:
+                    rmin = r
+        if not ratios:
             raise SolverError("unbounded direction on a mass polytope")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = np.maximum(xB[pos], 0.0) / d[pos]
-        rmin = ratios.min()
-        tied = np.flatnonzero(ratios <= rmin + 1e-10 * (1.0 + rmin))
+        bound = rmin + 1e-10 * (1.0 + rmin)
+        tied = [i for i, r in ratios if r <= bound]
         if anchor is not None and len(tied) > 1:
             leaving = tied[_lex_leaving(np.ones((len(tied), 1), dtype=bool),
                                         d[tied, None],
                                         cols.product(inv[tied], anchor))[0]]
         else:
-            leaving = tied[np.argmax(d[tied])]
-        dmax = np.abs(d).max()
-        if state.updates and d[leaving] < _SMALL_PIVOT * dmax:
+            leaving = max(tied, key=ds.__getitem__)    # the first largest pivot
+        pivot, dmax = ds[leaving], max(max(ds), -min(ds))
+        if state.updates and pivot < _SMALL_PIVOT * dmax:
             state.inverse = None           # may be update noise: recompute it
             continue
-        if d[leaving] < _TINY_PIVOT * dmax:
-            blocked[entering] = True
+        if pivot < _TINY_PIVOT * dmax:
+            c_open[entering] = np.inf
             rejected.append(entering)
             continue
         if rejected:
-            blocked[rejected] = False
+            c_open[rejected] = costs[rejected]
             rejected.clear()
         state.iterations += 1
         if state.iterations > max_iter:
@@ -367,9 +386,11 @@ def _pivot_loop(cols, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
         stalled = stalled + 1 if rmin <= RATIO_TOL else 0
         if not stalled:
             anchor = None
-        if state.basis[leaving] < n:
-            blocked[state.basis[leaving]] = not allow_enter[state.basis[leaving]]
-        blocked[entering] = True
+        out = state.basis[leaving]
+        if out < n and allow_enter[out]:
+            c_open[out] = costs[out]
+        c_open[entering] = np.inf
+        c_B[leaving] = costs[entering]
         _exchange(state, leaving, entering, d)
 
 
@@ -377,9 +398,10 @@ def _basic_solution(xB, state, n):
     if (xB < -1e-9).any():
         raise SolverError("basic solution drifted negative")
     x = np.zeros(n)
-    for p, col in enumerate(state.basis):
-        if col < n:
-            x[col] = max(xB[p], 0.0)
+    basis = np.asarray(state.basis)
+    real = basis < n
+    # where, not maximum: like Python's max(v, 0.0) it keeps -0.0
+    x[basis[real]] = np.where(0.0 > xB, 0.0, xB)[real]
     return x
 
 
@@ -460,10 +482,14 @@ class Potentials:
 
     def feasibility_violation(self, cost_grid: np.ndarray) -> float:
         """Worst violation of the dual inequality over the full grid."""
-        slack = cost_grid - self.sum_grid(cost_grid.shape)
-        if self.sense == "min":
-            return float(max(0.0, -slack.min()))
-        return float(max(0.0, slack.max()))
+        return _dual_violation(cost_grid - self.sum_grid(cost_grid.shape), self.sense)
+
+
+def _dual_violation(slack, sense):
+    """Worst violation of the dual inequality, given c - sum_k phi_k."""
+    if sense == "min":
+        return float(max(0.0, -slack.min()))
+    return float(max(0.0, slack.max()))
 
 
 def _canonical_gauge(vectors, measures):
@@ -536,14 +562,18 @@ def _least_cost_basis(measures: list[DiscreteMeasure], c: np.ndarray) -> list[in
     are a basis, and the placed masses make it feasible.
     """
     arities = tuple(m.size for m in measures)
-    left = [m.weights.copy() for m in measures]
+    left = [m.weights.tolist() for m in measures]
     live = list(arities)
     free = c.reshape(arities).copy()
     cells = []
     while True:
-        cell = int(np.argmin(free))
-        at = np.unravel_index(cell, arities)
+        cell = int(free.argmin())
         cells.append(cell)
+        at, rest = [], cell
+        for size in reversed(arities):
+            rest, i = divmod(rest, size)
+            at.append(i)
+        at.reverse()
         mass = min(w[i] for w, i in zip(left, at))
         for w, i in zip(left, at):
             w[i] -= mass
@@ -605,10 +635,9 @@ def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> Solve
     potentials are strictly complementary: their active set (within
     ACTIVE_TOL times the span) is the union of all optimal supports.
     """
-    if instance.grid_size() > grid_cap:
-        raise InstanceTooLarge(
-            f"grid has {instance.grid_size()} cells, cap is {grid_cap}"
-        )
+    n_cells = instance.grid_size()
+    if n_cells > grid_cap:
+        raise InstanceTooLarge(f"grid has {n_cells} cells, cap is {grid_cap}")
     grid = instance.cost_grid()
     if not np.isfinite(grid).all():
         raise NonFiniteCost("cost grid contains non-finite values")
@@ -638,16 +667,16 @@ def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> Solve
     vectors[0] += sign * shift
     vectors = _canonical_gauge(vectors, instance.measures)
     potentials = Potentials(vectors, instance.sense)
-    violation = potentials.feasibility_violation(grid)
+    slack = grid - potentials.sum_grid(instance.arities)
+    violation = _dual_violation(slack, instance.sense)
     if violation > cost_scaled(DUAL_FEAS_TOL, grid):
         raise SolverError(f"potentials violate dual feasibility by {violation:.3e}")
 
     value = sign * (shift + span * float(c @ x))
     gap = abs(value - potentials.dual_value(instance.measures))
-    slack_grid = grid - potentials.sum_grid(instance.arities)
-    slack_res = float(
-        sum(abs(slack_grid[idx]) * mass for idx, mass in plan.entries.items())
-    )
+    at = tuple(np.array(list(plan.entries)).T)
+    # summed in entry order over numpy scalars, as a loop over the entries would
+    slack_res = float(sum(np.abs(slack[at]) * list(plan.entries.values())))
     return SolveResult(plan, potentials, value, state.iterations, gap, slack_res,
                        second)
 

@@ -78,6 +78,40 @@ class DiscreteMeasure:
         return self.space.size
 
 
+def _int_keys(entries):
+    """int() of each key's components, in order, up to the first key it rejects.
+
+    Returns the converted keys and that key's exception, or None.
+    """
+    keys = []
+    try:
+        for idx in entries:
+            keys.append(tuple(map(int, idx)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        return keys, exc
+    return keys, None
+
+
+def _first_bad_key(keys, arities) -> int:
+    """Position of the first key of the wrong length or out of bounds, else len(keys).
+
+    Valid keys are checked a column at a time; only invalid ones are scanned.
+    """
+    n_axes = len(arities)
+    if set(map(len, keys)) == {n_axes} and all(
+            min(col) >= 0 and max(col) < n for col, n in zip(zip(*keys), arities)):
+        return len(keys)
+    return next((j for j, idx in enumerate(keys) if len(idx) != n_axes
+                 or not all(0 <= i < n for i, n in zip(idx, arities))), len(keys))
+
+
+def _raise_bad_key(idx, arities):
+    if len(idx) != len(arities):
+        raise InvariantViolation(f"index {idx} has wrong length")
+    ax = next(ax for ax, (i, n) in enumerate(zip(idx, arities)) if not 0 <= i < n)
+    raise IndexOutOfRange(f"index {idx} out of bounds on axis {ax}")
+
+
 @dataclass(frozen=True)
 class Coupling:
     """Sparse nonnegative mass assignment over multi-indices, total mass 1."""
@@ -86,19 +120,25 @@ class Coupling:
     entries: dict[tuple[int, ...], float]
 
     def __post_init__(self):
+        """Convert keys with int(), check them, drop dust and merge equal keys.
+
+        Keys are bounds-checked a column at a time.  Invalid input raises the
+        error of its first invalid entry, as a pass over the entries in order
+        would, and the total is summed in entry order.
+        """
+        keys, failure = _int_keys(self.entries)
+        bad = _first_bad_key(keys, self.arities)
+        masses = list(self.entries.values())
+        kept = [j for j in range(bad) if not masses[j] <= MASS_FLOOR]
+        if bad < len(keys):
+            _raise_bad_key(keys[bad], self.arities)
+        if failure is not None:
+            raise failure
         clean = {}
         total = 0.0
-        for idx, mass in self.entries.items():
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != len(self.arities):
-                raise InvariantViolation(f"index {idx} has wrong length")
-            for ax, (i, n) in enumerate(zip(idx, self.arities)):
-                if not 0 <= i < n:
-                    raise IndexOutOfRange(f"index {idx} out of bounds on axis {ax}")
-            if mass <= MASS_FLOOR:
-                continue
-            clean[idx] = clean.get(idx, 0.0) + float(mass)
-            total += mass
+        for j in kept:
+            clean[keys[j]] = clean.get(keys[j], 0.0) + float(masses[j])
+            total += masses[j]
         if abs(total - 1.0) > STORAGE_TOL:
             raise InvariantViolation(f"total mass {total!r} differs from 1")
         object.__setattr__(self, "entries", clean)

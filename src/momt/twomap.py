@@ -33,7 +33,9 @@ def lij_window(alpha: float, beta: float) -> tuple[float, float]:
         raise OutOfRange(f"alpha = {alpha} outside [0, 1]")
     if not (-STORAGE_TOL <= beta <= 1 + STORAGE_TOL):
         raise OutOfRange(f"beta = {beta} outside [0, 1]")
-    low = max(0.0, alpha + beta - 1.0)
+    # alpha + beta - 1 rounded once: 1 minus the larger weight is exact when
+    # that weight is at least 1/2, and below 1/2 the window starts at 0
+    low = max(0.0, beta - (1.0 - alpha) if alpha >= beta else alpha - (1.0 - beta))
     high = min(alpha, beta)
     return low, high
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from momt import lp
 from momt.errors import (
     EmptySubset,
+    IndexOutOfRange,
     InvariantViolation,
     MapDomainGap,
     MarginalMismatch,
@@ -22,6 +23,7 @@ from momt.measure import (
     recombine,
 )
 from momt.reduction import reduce
+from momt.tolerances import MASS_FLOOR, STORAGE_TOL
 from conftest import random_instance
 
 
@@ -48,6 +50,88 @@ def test_coupling_prunes_dust_and_checks_mass():
     assert (0, 1) not in c.entries
     with pytest.raises(InvariantViolation):
         Coupling((2, 2), {(0, 0): 0.7})
+
+
+def _loop_coupling(arities, entries):
+    """The entry-by-entry validation `Coupling` ran before it used arrays."""
+    clean = {}
+    total = 0.0
+    for idx, mass in entries.items():
+        idx = tuple(int(i) for i in idx)
+        if len(idx) != len(arities):
+            raise InvariantViolation(f"index {idx} has wrong length")
+        for ax, (i, n) in enumerate(zip(idx, arities)):
+            if not 0 <= i < n:
+                raise IndexOutOfRange(f"index {idx} out of bounds on axis {ax}")
+        if mass <= MASS_FLOOR:
+            continue
+        clean[idx] = clean.get(idx, 0.0) + float(mass)
+        total += mass
+    if abs(total - 1.0) > STORAGE_TOL:
+        raise InvariantViolation(f"total mass {total!r} differs from 1")
+    return clean
+
+
+def _outcome(build, arities, entries):
+    """Entries with the types and bits of keys and masses, or the error raised."""
+    try:
+        out = build(arities, entries)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, Coupling):
+        out = out.entries
+    return [(tuple((type(i), i) for i in k), type(v), float(v).hex())
+            for k, v in out.items()]
+
+
+def _assert_matches_loop(arities, entries):
+    assert _outcome(Coupling, arities, entries) == _outcome(_loop_coupling, arities,
+                                                            entries)
+
+
+def test_coupling_validation_matches_the_entry_loop():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        arities = tuple(rng.integers(1, 5, rng.integers(1, 5)).tolist())
+        k = int(rng.integers(0, 12))
+        keys = [tuple(int(rng.integers(0, n)) for n in arities) for _ in range(k)]
+        if trial % 3 == 0:         # numpy integers, and floats that int() truncates
+            keys = [tuple(np.int64(i) for i in key) for key in keys]
+        elif trial % 3 == 1 and keys:
+            keys[0] = tuple(i + 0.5 for i in keys[0])
+        w = rng.dirichlet(np.ones(max(k, 1)))[:k]
+        w[rng.uniform(size=k) < 0.2] = MASS_FLOOR * rng.choice([0.5, 1.0, 2.0])
+        masses = w.tolist() if trial % 2 else list(w)       # floats or np.float64
+        _assert_matches_loop(arities, dict(zip(keys, masses)))
+
+
+@pytest.mark.parametrize("entries", [
+    {},
+    {(0, 0): 0.7},
+    {(0, 0): 0.5, (0.9, 0): 0.5},                    # int() merges the keys
+    {(0, 1): 0.5, (0, 1.2): 0.25, (1, 0): 0.25},
+    {(0, 0): np.float64(0.5), (1, 1): 0.5},
+    {(0, 0): 1, (1, 1): 0.0},
+    {(0, 0): float("nan")},
+    {(0, 0, 0): 1.0},
+    {(2, 0): 1.0},
+    {(0, -1): 1.0},
+    {(0, 2**70): 1.0},
+    {(0, 2**64 - 1): 1.0},
+    {(0, 0): 0.5, (1,): 0.5},
+    {(0, 0): 0.5, ("a", 1): 0.5},
+    {(0, 0): 0.5, (None, 1): 0.5},
+    {(0, 0): 0.5, 7: 0.5},
+    {(0, 0): "x", (5, 5): 1.0},                      # the mass fails first
+    {(5, 5): 1.0, (0, 0): "x"},                      # the index fails first
+    {(5, 5): 1.0, ("a", 0): 0.5},
+    {("a", 0): 0.5, (5, 5): 1.0},
+    {(0, 0): 0.5, (0, 0, 1): 0.5, (3, 0): 0.0},
+    {(0, 0): 0.5, (3, 0): 0.0, (0, 0, 1): 0.5},
+    {(0, 0): 0.5, (1, 1): np.array([0.5, 0.5])},
+])
+def test_coupling_errors_and_edge_cases_match_the_entry_loop(entries):
+    _assert_matches_loop((2, 2), entries)
 
 
 def test_product_coupling_marginalizes_to_product():

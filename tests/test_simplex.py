@@ -145,6 +145,179 @@ def test_least_cost_basis_is_feasible_and_full_rank():
         assert (np.linalg.solve(B, model.b) >= -1e-12).all()
 
 
+# -- pivot path ------------------------------------------------------------------------
+
+def _reference_price(cols, y):
+    if isinstance(cols, lp._DenseColumns):
+        return y @ cols.A
+    padded = np.append(y, 0.0)
+    total = padded[cols.rows[0]]
+    for r in cols.rows[1:]:
+        total = np.add.outer(total, padded[r])
+    return total.reshape(-1)
+
+
+def _reference_refactor(cols, state):
+    m = len(state.basis)
+    try:
+        state.inverse = np.linalg.solve(cols.matrix(state.basis), np.eye(m))
+    except np.linalg.LinAlgError as exc:
+        raise lp.SolverError(f"singular basis: {exc}") from exc
+    state.updates = 0
+
+
+def _reference_exchange(state, p, entering, d):
+    inv = state.inverse
+    row = inv[p] / d[p]
+    inv -= np.outer(d, row)
+    inv[p] = row
+    state.basis[p] = entering
+    state.updates += 1
+
+
+def _reference_pivot_loop(cols, b, costs, state, allow_enter, max_iter=lp._MAX_PIVOTS):
+    """`lp._pivot_loop` as it was with numpy calls for every step: the oracle."""
+    m, n = len(b), cols.n
+    blocked = ~allow_enter
+    basic = np.asarray(state.basis)
+    blocked[basic[basic < n]] = True
+    rejected = []
+    stalled = 0
+    anchor = None
+    while True:
+        if state.inverse is None or state.updates >= lp._REFACTOR_EVERY:
+            _reference_refactor(cols, state)
+        inv = state.inverse
+        xB = inv @ b
+        y = costs[state.basis] @ inv
+        reduced = costs[:n] - _reference_price(cols, y)
+        np.putmask(reduced, blocked, np.inf)
+        entering = int(np.argmin(reduced))
+        if not reduced[entering] < -lp.REDUCED_COST_TOL:
+            if state.updates == 0:
+                return xB, y
+            state.inverse = None
+            continue
+        if stalled >= lp._STALL_PIVOTS and anchor is None:
+            anchor = list(state.basis)
+        d = inv @ cols.column(entering)
+        pos = d > lp.RATIO_TOL
+        if not pos.any():
+            raise lp.SolverError("unbounded direction on a mass polytope")
+        ratios = np.full(m, np.inf)
+        ratios[pos] = np.maximum(xB[pos], 0.0) / d[pos]
+        rmin = ratios.min()
+        tied = np.flatnonzero(ratios <= rmin + 1e-10 * (1.0 + rmin))
+        if anchor is not None and len(tied) > 1:
+            leaving = tied[lp._lex_leaving(np.ones((len(tied), 1), dtype=bool),
+                                           d[tied, None],
+                                           cols.product(inv[tied], anchor))[0]]
+        else:
+            leaving = tied[np.argmax(d[tied])]
+        dmax = np.abs(d).max()
+        if state.updates and d[leaving] < lp._SMALL_PIVOT * dmax:
+            state.inverse = None
+            continue
+        if d[leaving] < lp._TINY_PIVOT * dmax:
+            blocked[entering] = True
+            rejected.append(entering)
+            continue
+        if rejected:
+            blocked[rejected] = False
+            rejected.clear()
+        state.iterations += 1
+        if state.iterations > max_iter:
+            raise lp.SolverError("simplex iteration cap exceeded")
+        stalled = stalled + 1 if rmin <= lp.RATIO_TOL else 0
+        if not stalled:
+            anchor = None
+        if state.basis[leaving] < n:
+            blocked[state.basis[leaving]] = not allow_enter[state.basis[leaving]]
+        blocked[entering] = True
+        _reference_exchange(state, leaving, entering, d)
+
+
+def _copy_state(state):
+    inverse = None if state.inverse is None else state.inverse.copy()
+    return lp._SimplexState(list(state.basis), state.iterations, inverse, state.updates)
+
+
+@pytest.fixture
+def pivot_calls(monkeypatch):
+    """Run the oracle beside every `_pivot_loop` call and require the same path.
+
+    Yields the number of calls made and of lexicographic tie-breaks taken.
+    """
+    seen = {"calls": 0, "lex": 0}
+    loop, lex = lp._pivot_loop, lp._lex_leaving
+
+    def counted_lex(*args):
+        seen["lex"] += 1
+        return lex(*args)
+
+    def checked(cols, b, costs, state, allow_enter, *rest):
+        twin = _copy_state(state)
+        xB_ref, y_ref = _reference_pivot_loop(cols, b, costs, twin, allow_enter.copy(),
+                                              *rest)
+        xB, y = loop(cols, b, costs, state, allow_enter, *rest)
+        assert state.basis == twin.basis
+        assert state.iterations == twin.iterations
+        assert state.updates == twin.updates
+        assert xB.tobytes() == xB_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
+        assert state.inverse.tobytes() == twin.inverse.tobytes()
+        seen["calls"] += 1
+        return xB, y
+
+    monkeypatch.setattr(lp, "_pivot_loop", checked)
+    monkeypatch.setattr(lp, "_lex_leaving", counted_lex)
+    yield seen
+
+
+@pytest.mark.parametrize("n_axes,n", [(2, 12), (2, 20), (3, 7), (4, 5), (5, 3), (5, 4)])
+def test_pivot_path_matches_the_oracle(pivot_calls, n_axes, n):
+    for seed in range(4):
+        rng = np.random.default_rng([seed, n_axes, n])
+        spaces = [Space(f"X{k}", rng.uniform(-1, 1, (n, 2))) for k in range(n_axes)]
+        weights = [np.full(n, 1.0 / n) if seed % 2 else rng.dirichlet(np.ones(n))
+                   for _ in range(n_axes)]
+        sense = ("min", "max")[seed % 2]
+        cost = (CostSpec("tensor", sense, {"values": rng.uniform(0, 1, (n,) * n_axes)})
+                if seed == 3 else CostSpec(("surplus", "attractive", "repulsive")[seed],
+                                           sense))
+        inst = DiscreteInstance(spaces, [DiscreteMeasure(s, w / w.sum())
+                                         for s, w in zip(spaces, weights)], cost)
+        lp.solve(inst)
+    assert pivot_calls["calls"] >= 4
+
+
+def test_pivot_path_matches_the_oracle_through_the_lexicographic_rule(pivot_calls):
+    rng = np.random.default_rng(0)
+    spaces = [Space(f"X{k}", rng.uniform(-1, 1, (40, 2))) for k in range(3)]
+    w = np.full(40, 1.0 / 40)
+    inst = DiscreteInstance(spaces, [DiscreteMeasure(s, w / w.sum()) for s in spaces],
+                            CostSpec("surplus", "min"))
+    lp.solve(inst)
+    assert pivot_calls["lex"] > 0
+
+
+def test_pivot_path_matches_the_oracle_through_the_face_lp(pivot_calls):
+    for seed in range(4):
+        res = lp.solve(twin_surplus_instance(seed, n=4))
+        assert res.second_vertex is not None
+    assert pivot_calls["calls"] >= 8            # each solve ran a face LP
+
+
+def test_pivot_path_matches_the_oracle_in_phase_one(pivot_calls):
+    for seed in range(6):
+        inst = random_instance(seed + 900, n_axes=2 + seed % 3, max_atoms=4,
+                               uniform=seed % 2 == 0)
+        model = lp.standard_model(inst.measures)
+        lp._simplex(model.A, model.b, inst.cost_grid().reshape(-1))
+    lp._simplex(BEALE_A, BEALE_B, BEALE_C)
+    assert pivot_calls["calls"] == 14          # phase 1 and phase 2 of each
+
+
 # -- scale ---------------------------------------------------------------------------
 
 def _scaled_pair(seed, scale, shift):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momt import lp
@@ -50,6 +50,7 @@ def test_window_is_ordered_and_feasible(alpha, beta):
 
 @settings(max_examples=60, deadline=None)
 @given(unit, unit)
+@example(alpha=1.0, beta=1e-9)      # alpha + beta - 1 rounds to 1.0000000827e-9
 def test_dense_scan_stays_inside_window(alpha, beta):
     admissible = dense_window_scan(alpha, beta, step=1e-3)
     lo, hi = lij_window(alpha, beta)
