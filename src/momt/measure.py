@@ -148,13 +148,13 @@ class Coupling:
 
     @staticmethod
     def from_dense(array: np.ndarray) -> "Coupling":
+        """The cells above MASS_FLOOR, keyed in C order."""
         array = np.asarray(array, dtype=float)
-        entries = {
-            tuple(int(i) for i in idx): float(array[idx])
-            for idx in np.ndindex(array.shape)
-            if array[idx] > MASS_FLOOR
-        }
-        return Coupling(array.shape, entries)
+        mask = array > MASS_FLOOR
+        # np.nonzero refuses 0-d arrays, whose one cell has the empty index
+        keys = zip(*(i.tolist() for i in np.nonzero(mask))) if array.ndim \
+            else [()] * int(mask)
+        return Coupling(array.shape, dict(zip(keys, array[mask].tolist())))
 
     @staticmethod
     def from_map(mu: DiscreteMeasure, images: dict[int, tuple[int, ...]],

@@ -241,6 +241,66 @@ def test_mixed_point_dimensions_exit_2(tmp_path, capsys):
     assert main(["solve", _write(tmp_path, gw)]) == 0
 
 
+MONGE_ON_TWO_SPACES = {
+    "version": 1,
+    "spaces": [{"name": "X", "points": [[0.0], [1.0]]},
+               {"name": "Y", "points": [[0.0], [1.0]]}],
+    "weights": [[0.5, 0.5], [0.5, 0.5]],
+    "cost": {"builtin": "mongeQuadratic"},
+    "sense": "min",
+}
+
+GW_ON_THREE_SPACES = {
+    "version": 1,
+    "spaces": [{"name": f"X{k}", "points": [[0.0], [1.0]]} for k in range(3)],
+    "weights": [[0.5, 0.5]] * 3,
+    "cost": {"builtin": "gromovWasserstein", "xi": 1.0, "A": [[2.0]]},
+    "sense": "max",
+}
+
+
+@pytest.mark.parametrize("doc,argv,message", [
+    (MONGE_ON_TWO_SPACES, ["solve"], "error: mongeQuadratic is a three-marginal cost"),
+    (MONGE_ON_TWO_SPACES, ["diagnose"], "error: mongeQuadratic is a three-marginal cost"),
+    # two axes have no proper subset to reduce to: refused before the cost
+    (MONGE_ON_TWO_SPACES, ["reduce", "--subset", "1,2"],
+     "error: --subset: reduced problems need a proper subset"),
+    (GW_ON_THREE_SPACES, ["solve"], "error: gromovWasserstein is a two-marginal cost"),
+    (GW_ON_THREE_SPACES, ["diagnose"], "error: gromovWasserstein is a two-marginal cost"),
+    (GW_ON_THREE_SPACES, ["reduce", "--subset", "1,2"],
+     "error: gromovWasserstein is a two-marginal cost"),
+], ids=["monge-solve", "monge-diagnose", "monge-reduce", "gw-solve", "gw-diagnose",
+        "gw-reduce"])
+def test_fixed_arity_costs_on_the_wrong_number_of_spaces_exit_2(tmp_path, capsys, doc,
+                                                                argv, message):
+    path = _write(tmp_path, doc)
+    assert main([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cost", [{"builtin": "mongeQuadratic"},
+                                  {"builtin": "gromovWasserstein", "xi": 1.0,
+                                   "A": [[1.0, 0.0], [0.0, 2.0]]}],
+                         ids=["monge", "gw"])
+@pytest.mark.parametrize("big", [1e160, 1e300])
+def test_huge_points_exit_3_under_warnings_as_errors(tmp_path, cost, big):
+    n_axes = 3 if cost["builtin"] == "mongeQuadratic" else 2
+    doc = {"version": 1,
+           "spaces": [{"name": f"X{k}", "points": [[big, 0.0], [0.0, -big]]}
+                      for k in range(n_axes)],
+           "weights": [[0.5, 0.5]] * n_axes,
+           "cost": cost,
+           "sense": "min"}
+    cmd = [sys.executable, "-W", "error", "-m", "momt.cli", "solve", _write(tmp_path, doc)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=_cli_env(),
+                          timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == "solver error: cost grid contains non-finite values\n"
+    assert proc.stdout == ""
+
+
 def test_scenario_writes_report_and_csv(tmp_path):
     out = tmp_path / "runs"
     assert main(["scenario", "shells", "--n", "6", "--seed", "2",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from momt import lp
+from momt import costs, lp
 from momt.costs import (
     ConjugateTable,
     CostSpec,
@@ -16,6 +18,8 @@ from momt.costs import (
 from momt.errors import (
     DimensionMismatch,
     EmptyTable,
+    InvariantViolation,
+    NonFiniteCost,
     NotSurplusCost,
     SingularMatrix,
     ZeroXi,
@@ -79,6 +83,106 @@ def test_gw_evaluation_formula_and_negated_objective():
     r2 = lp.solve(neg)
     assert r1.value == pytest.approx(-r2.value, abs=1e-12)
     assert r1.plan.total_variation(r2.plan) < 1e-12
+
+
+def _pointwise_grid(spec, spaces):
+    """The grid cell by cell through `evaluate`, the pointwise definition."""
+    out = np.empty(tuple(s.size for s in spaces))
+    for idx in np.ndindex(out.shape):
+        out[idx] = evaluate(spec, [s.points[i] for s, i in zip(spaces, idx)])
+    return out
+
+
+# few distinct values, so coordinates and whole points repeat within and
+# across spaces (zero differences, equal norms), plus arbitrary ones
+_COORD = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0, 3.0]),
+                   st.floats(-10, 10, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _cost_case(draw):
+    kind = draw(st.sampled_from(["mongeQuadratic", "gromovWasserstein"]))
+    d = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.integers(-4, 4))
+    order = draw(st.sampled_from("CF"))
+    n_axes = 3 if kind == "mongeQuadratic" else 2
+    spaces = []
+    for k in range(n_axes):
+        rows = draw(st.lists(st.tuples(*[_COORD] * d), min_size=1, max_size=7,
+                             unique=True))
+        points = np.asarray(np.array(rows) * scale, order=order)
+        try:
+            spaces.append(Space(f"S{k}", points))
+        except InvariantViolation:      # two atoms closer than the storage tolerance
+            assume(False)
+    params = {}
+    if kind == "gromovWasserstein":
+        A = np.array(draw(st.lists(_COORD, min_size=d * d, max_size=d * d))).reshape(d, d)
+        assume(abs(np.linalg.det(A)) > 1e-10)
+        xi = draw(st.one_of(st.sampled_from([1.0, -1.0, 0.5]),
+                            st.floats(-10, 10, allow_nan=False).filter(lambda v: v != 0)))
+        params = {"A": A, "xi": xi}
+    return CostSpec(kind, "min", params), spaces
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cost_case())
+def test_whole_array_grid_is_bit_identical_to_evaluate(case):
+    spec, spaces = case
+    grid = cost_array(spec, spaces)
+    assert grid.tobytes() == _pointwise_grid(spec, spaces).tobytes()
+
+
+@pytest.mark.parametrize("kind", [k for k in costs.BUILTIN_KINDS if k != "tensor"])
+def test_cost_array_never_evaluates_cell_by_cell(monkeypatch, kind):
+    rng = np.random.default_rng(4)
+    n_axes = {"mongeQuadratic": 3, "gromovWasserstein": 2}.get(kind, 3)
+    spaces = [Space(f"S{k}", rng.normal(size=(4, 2))) for k in range(n_axes)]
+    params = {"A": np.array([[1.0, 0.5], [0.0, 2.0]]), "xi": 1.5} \
+        if kind == "gromovWasserstein" else {}
+    spec = CostSpec(kind, "min", params)
+    expected = _pointwise_grid(spec, spaces)
+
+    def refuse(*args):
+        raise AssertionError("cost_array called evaluate")
+
+    monkeypatch.setattr(costs, "evaluate", refuse)
+    grid = cost_array(spec, spaces)
+    assert grid.shape == (4,) * n_axes
+    assert np.allclose(grid, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,n_axes,message", [
+    ("mongeQuadratic", 2, "three-marginal"),
+    ("mongeQuadratic", 4, "three-marginal"),
+    ("gromovWasserstein", 3, "two-marginal"),
+])
+def test_cost_array_refuses_the_wrong_arity(kind, n_axes, message):
+    params = {"A": np.eye(2), "xi": 1.0} if kind == "gromovWasserstein" else {}
+    spaces = [Space(f"S{k}", np.eye(2)) for k in range(n_axes)]
+    with pytest.raises(DimensionMismatch, match=message):
+        cost_array(CostSpec(kind, "min", params), spaces)
+
+
+@pytest.mark.parametrize("kind", [k for k in costs.BUILTIN_KINDS if k != "tensor"])
+def test_cost_array_refuses_mixed_point_dimensions(kind):
+    n_axes = 2 if kind == "gromovWasserstein" else 3
+    params = {"A": np.eye(2), "xi": 1.0} if kind == "gromovWasserstein" else {}
+    spaces = [Space(f"S{k}", np.eye(2)) for k in range(n_axes - 1)]
+    spaces.append(Space("Z", np.eye(3)))
+    with pytest.raises(DimensionMismatch, match=r"point dimensions differ: \[\(2,\), \(3,\)\]"):
+        cost_array(CostSpec(kind, "min", params), spaces)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["mongeQuadratic", "gromovWasserstein"])
+@pytest.mark.parametrize("big", [1e160, 1e300])
+def test_overflowing_cells_raise_non_finite_without_warnings(kind, big):
+    n_axes = 3 if kind == "mongeQuadratic" else 2
+    spaces = [Space(f"S{k}", [[big, 0.0], [0.0, -big]]) for k in range(n_axes)]
+    params = {"A": np.diag([1.0, 2.0]), "xi": 1.0} if kind == "gromovWasserstein" else {}
+    with pytest.raises(NonFiniteCost):
+        cost_array(CostSpec(kind, "min", params), spaces)
 
 
 def test_surplus_attractive_identity_on_grid():

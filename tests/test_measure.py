@@ -134,6 +134,50 @@ def test_coupling_errors_and_edge_cases_match_the_entry_loop(entries):
     _assert_matches_loop((2, 2), entries)
 
 
+def _loop_from_dense(array):
+    """`Coupling.from_dense` as it was: one cell at a time over np.ndindex."""
+    array = np.asarray(array, dtype=float)
+    entries = {
+        tuple(int(i) for i in idx): float(array[idx])
+        for idx in np.ndindex(array.shape)
+        if array[idx] > MASS_FLOOR
+    }
+    return Coupling(array.shape, entries)
+
+
+def _dense_cases():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        shape = tuple(rng.integers(1, 6, rng.integers(1, 5)).tolist())
+        dense = np.where(rng.uniform(size=shape) < 0.3, rng.uniform(size=shape), 0.0)
+        if dense.sum() == 0:
+            dense.flat[0] = 1.0
+        dense = dense / dense.sum()
+        if trial % 4 == 1:          # dust at, just above and below the floor
+            dense.flat[rng.integers(dense.size, size=3)] = \
+                MASS_FLOOR * np.array([0.5, 1.0, 2.0])
+        elif trial % 4 == 2:        # Fortran layout: keys stay in C order
+            dense = np.asfortranarray(dense)
+        elif trial % 4 == 3:        # negative cells and a total off 1 by far
+            dense.flat[0] = -0.25
+        yield dense
+    yield np.array(1.0)
+    yield np.array(0.0)
+    yield [[0.5, 0], [0, 0.5]]
+    yield np.array([[1, 0], [0, 0]])
+
+
+def test_from_dense_matches_the_cell_loop():
+    def build(_, dense):
+        return Coupling.from_dense(dense)
+
+    def loop(_, dense):
+        return _loop_from_dense(dense)
+
+    for dense in _dense_cases():
+        assert _outcome(build, None, dense) == _outcome(loop, None, dense)
+
+
 def test_product_coupling_marginalizes_to_product():
     dense = np.full((2, 2, 2), 1 / 8)
     plan = Coupling.from_dense(dense)
