@@ -20,6 +20,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -206,7 +207,7 @@ def cmd_solve(args) -> int:
             "vertices": len(verts),
             "optimum": float(best),
             "agreement_gap": abs(float(best) - res.value),
-            "agrees": abs(float(best) - res.value) <= (args.tol or 1e-9),
+            "agrees": abs(float(best) - res.value) <= args.tol,
         }
     _write_out(result_dict(instance, res, certificates), args.out)
     return 0
@@ -251,11 +252,8 @@ def cmd_reduce(args) -> int:
 def cmd_diagnose(args) -> int:
     instance = load_instance(args.instance)
     res = lp.solve(instance)
-    mono = check_cyclical_monotonicity(
-        res.plan.support(), instance.cost_grid(), sense=instance.sense,
-        max_cycle=args.max_cycle, seed=args.seed or 0,
-        tol=args.tol if args.tol else 1e-9,
-    )
+    mono = check_cyclical_monotonicity(res.plan.support(), instance.cost_grid(),
+                                       res.potentials, tol=args.tol)
     n = instance.n_axes
     split = (tuple(range(n - 1)), (n - 1,))
     freport = fiber_report(res.plan.support(), instance.cost_grid(), split)
@@ -264,7 +262,8 @@ def cmd_diagnose(args) -> int:
     active = lp.minimizing_set(instance, res.potentials)
     certificates = {
         "cyclically_monotone": bool(mono.passed),
-        "monotonicity_checked": mono.checked_exhaustive + mono.checked_sampled,
+        "monotonicity_bound": mono.bound,
+        "monotonicity_threshold": mono.threshold,
         "c_extreme": bool(extreme.passed),
         "c_extreme_split": [[a + 1 for a in split[0]], [a + 1 for a in split[1]]],
         "is_vertex": bool(lp.is_vertex(res.plan, instance.measures)),
@@ -357,6 +356,14 @@ def cmd_scenario(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """A `--tol` value: a finite, non-negative float (argparse exits 2 otherwise)."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momt",
@@ -369,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out")
     p_solve.add_argument("--oracle", action="store_true",
                          help="cross-check against exhaustive vertex enumeration")
-    p_solve.add_argument("--tol", type=float, default=None)
+    p_solve.add_argument("--tol", type=_tolerance, default=1e-9)
     p_solve.set_defaults(fn=cmd_solve)
 
     p_red = sub.add_parser("reduce", help="write a reduced instance for an axis subset")
@@ -381,9 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="solve plus structure certificates")
     p_diag.add_argument("instance")
     p_diag.add_argument("--out")
-    p_diag.add_argument("--max-cycle", type=int, default=3)
-    p_diag.add_argument("--seed", type=int, default=0)
-    p_diag.add_argument("--tol", type=float, default=None)
+    p_diag.add_argument("--seed", type=int, default=0, help="recorded in provenance")
+    p_diag.add_argument("--tol", type=_tolerance, default=1e-9)
     p_diag.set_defaults(fn=cmd_diagnose)
 
     p_sc = sub.add_parser("scenario", help="run a reproduction study")

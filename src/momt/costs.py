@@ -142,11 +142,11 @@ def cost_array(spec: CostSpec, spaces: list[Space]) -> np.ndarray:
     """Tabulate the cost over the full product grid of the given spaces.
 
     Every builtin kind is computed in whole-array passes over pairwise
-    blocks, never cell by cell.  `evaluate` is the pointwise definition: the
-    mongeQuadratic and gromovWasserstein grids equal it bit for bit, because
-    each block is rounded as `evaluate`'s `np.dot` and the blocks are added
-    in its order.  A mongeQuadratic grid at the 200 000-cell cap (N=3, n=58)
-    takes about 3 ms on 2 CPUs (3.2 s with one `evaluate` call per cell).
+    blocks, never cell by cell.  `evaluate` is the pointwise definition and
+    every grid equals it bit for bit, because each block is rounded as
+    `evaluate`'s `np.dot` and the blocks are added in its order.  A
+    mongeQuadratic grid at the 200 000-cell cap (N=3, n=58) takes about
+    3 ms on 2 CPUs (3.2 s with one `evaluate` call per cell).
     Arity and point-dimension errors are raised before any arithmetic; a
     grid with a non-finite cell raises NonFiniteCost.
     """
@@ -160,23 +160,25 @@ def cost_array(spec: CostSpec, spaces: list[Space]) -> np.ndarray:
     if len(shapes) != 1:
         raise DimensionMismatch(f"point dimensions differ: {sorted(shapes)}")
     if spec.kind in ("surplus", "gangboSwiech", "attractive", "repulsive"):
-        # sum over pairs of broadcast Gram blocks; exact and fast
+        # one block per pair, added in pair order: inner products (a BLAS
+        # Gram product rounds some cells differently), or squared distances
+        # of differences (|x|^2 + |y|^2 - 2<x, y> cancels far from the
+        # origin), halved and signed at the end as in evaluate
+        sqdist = spec.kind in ("attractive", "repulsive")
         out = np.zeros(shape)
         n = len(spaces)
-        sq = [(s.points**2).sum(1) for s in spaces]
         for i in range(n):
             for j in range(i + 1, n):
-                gram = spaces[i].points @ spaces[j].points.T
-                if spec.kind in ("attractive", "repulsive"):
-                    block = 0.5 * (sq[i][:, None] + sq[j][None, :] - 2.0 * gram)
-                    if spec.kind == "repulsive":
-                        block = -block
-                else:
-                    block = gram
+                x, y = spaces[i].points, spaces[j].points
                 dims = [None] * n
                 dims[i] = slice(None)
                 dims[j] = slice(None)
+                block = _sqdists(x, y) if sqdist else _dots(x[:, None], y[None, :])
                 out += block[tuple(dims)]
+        if spec.kind == "attractive":
+            out *= 0.5
+        elif spec.kind == "repulsive":
+            out *= -0.5
     elif spec.kind == "mongeQuadratic":
         if len(spaces) != 3:
             raise DimensionMismatch("mongeQuadratic is a three-marginal cost")

@@ -1,5 +1,6 @@
-"""Support-structure certificates: cyclical monotonicity, fiber maps,
-extremality of minimizing sets, and multi-map decompositions.
+"""Support-structure certificates: cyclical monotonicity (proved from the
+dual potentials, for every cycle length), fiber maps, extremality of
+minimizing sets, and multi-map decompositions.
 
 The set-valued fiber map F sends a first-block atom to the second-block atoms
 it shares support with; f keeps the cost-argmax of each fiber (all ties
@@ -10,12 +11,12 @@ the first partition block the fiber meets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
-from math import comb, factorial
+from itertools import combinations
 
 import numpy as np
 
-from .errors import InstanceTooLarge, InvariantViolation, SingularMatrix, ZeroXi
+from .errors import InvariantViolation, SingularMatrix, ZeroXi
+from .lp import Potentials
 from .measure import Coupling
 from .tolerances import MASS_FLOOR, STORAGE_TOL
 
@@ -24,23 +25,15 @@ from .tolerances import MASS_FLOOR, STORAGE_TOL
 # cyclical monotonicity
 # ---------------------------------------------------------------------------
 
-_GAIN_BLOCK = 4096               # cycle gains priced per numpy pass
-_MAX_CYCLE_TUPLES = 2 ** 30      # cap on the exhaustive (subset, permutation tuple) count
-
-
 @dataclass
 class MonotonicityReport:
     passed: bool
-    checked_exhaustive: int
-    checked_sampled: int
-    violation: tuple | None = None      # (points, permutation tuple, slack)
-
-
-def exhaustive_cycle_count(n_points: int, n_axes: int, max_cycle: int) -> int:
-    """Subsets of 2..max_cycle points times their non-identity permutation
-    tuples: sum over M of C(n_points, M) * ((M!)^(n_axes - 1) - 1)."""
-    return sum(comb(n_points, M) * (factorial(M) ** (n_axes - 1) - 1)
-               for M in range(2, min(max_cycle, n_points) + 1))
+    bound: float          # M * (r + v) at the decisive cycle size M
+    threshold: float      # the gain threshold at that size
+    # always 0, as the proof prices no cycle; perfbench's layertrace._count
+    # reads both
+    checked_exhaustive: int = 0
+    checked_sampled: int = 0
 
 
 def _gain_thresholds(cost_grid, tol):
@@ -51,127 +44,49 @@ def _gain_thresholds(cost_grid, tol):
     return lambda M: tol * span + 2 * M * np.spacing(M * peak)
 
 
-def _cycle_gain(points, perms, cost_grid, sign):
-    """Original total minus permuted total, oriented so positive = violation."""
-    base = sum(cost_grid[p] for p in points)
-    permuted = 0.0
-    M = len(points)
-    for m in range(M):
-        idx = tuple(
-            points[perm[m]][axis] if perm is not None else points[m][axis]
-            for axis, perm in enumerate(perms)
-        )
-        permuted += cost_grid[idx]
-    return sign * (base - permuted)
+def check_cyclical_monotonicity(support, cost_grid: np.ndarray, potentials: Potentials,
+                                tol: float = 1e-9) -> MonotonicityReport:
+    """Prove every cycle of support points monotone from dual potentials.
 
-
-def _scan_cycles(support, cells, flat_cost, M, n_axes, sign, threshold):
-    """Price every M-point subset against every permutation tuple, in blocks.
-
-    Subsets come in `combinations` order; tuples index the permutations of
-    axes 1..N-1 as digits of one number, axis 1 fastest, and tuple 0 (all
-    identities) is skipped.  Sums run left to right as in `_cycle_gain`, so
-    every gain is bit-identical to it.  Returns the count checked up to and
-    including the first gain above `threshold`, and that violation or None.
-    """
-    perms = list(permutations(range(M)))
-    perm_rows = np.array(perms, dtype=np.intp)
-    n_tuples = len(perms) ** (n_axes - 1) - 1
-    if n_tuples == 0:
-        return 0, None
-    per_pass = min(n_tuples, _GAIN_BLOCK)
-    subsets = combinations(range(len(support)), M)
-    checked = 0
-    while True:
-        chunk = np.array(list(islice(subsets, max(1, _GAIN_BLOCK // n_tuples))),
-                         dtype=np.intp)
-        if not len(chunk):
-            return checked, None
-        parts = cells[chunk]                     # (subsets, M, axes) flat offsets
-        home = parts.sum(axis=2)
-        base = np.zeros(len(chunk))
-        for m in range(M):
-            base += flat_cost[home[:, m]]
-        for start in range(1, n_tuples + 1, per_pass):
-            digits = np.arange(start, min(start + per_pass, n_tuples + 1))
-            at = parts[:, None, :, 0]
-            for axis in range(1, n_axes):
-                at = at + parts[:, perm_rows[digits % len(perms)], axis]
-                digits = digits // len(perms)
-            permuted = np.zeros(at.shape[:2])
-            for m in range(M):
-                permuted += flat_cost[at[:, :, m]]
-            gains = sign * (base[:, None] - permuted)
-            hits = np.flatnonzero(gains > threshold)
-            if hits.size:
-                i, j = divmod(int(hits[0]), gains.shape[1])
-                t = start + j
-                tail = []
-                for _ in range(1, n_axes):
-                    t, digit = divmod(t, len(perms))
-                    tail.append(perms[digit])
-                points = tuple(support[p] for p in chunk[i])
-                return (checked + i * n_tuples + start + j,
-                        (points, (None, *tail), gains[i, j]))
-        checked += len(chunk) * n_tuples
-
-
-def check_cyclical_monotonicity(support, cost_grid: np.ndarray, sense: str = "min",
-                                max_cycle: int = 3, samples: int = 50,
-                                seed: int = 0, tol: float = 1e-9) -> MonotonicityReport:
-    """Test all small support subsets against all per-axis permutation tuples.
-
-    Axis 0 stays fixed (relabeling makes that lossless); axes 1..N-1 range
-    over all permutations of the chosen points, so the exhaustive phase
-    prices `exhaustive_cycle_count(len(support), N, max_cycle)` cycles, in
-    fixed-size numpy blocks; above 2**30 it raises InstanceTooLarge rather
-    than start.  Beyond max_cycle, `samples` random larger subsets are
-    tried with random permutation tuples.  A cycle of M points violates
-    monotonicity when its gain exceeds `tol` times the cost's span plus the
+    A cycle takes M support points and permutes their coordinates axis by
+    axis; it violates monotonicity when it gains, that is, when the
+    support's total cost minus the permuted total (oriented by the sense)
+    exceeds the threshold for size M: `tol` times the cost's span plus the
     rounding floor of two M-term sums at the cost's magnitude, so scaling
-    or shifting the cost does not change the answer.  The violation
-    reported is the first in enumeration order.
-    """
-    if max_cycle < 2:
-        raise InvariantViolation("max_cycle must be at least 2")
-    support = sorted(tuple(p) for p in support)
-    n_axes = cost_grid.ndim
-    sign = 1.0 if sense == "min" else -1.0
-    total = exhaustive_cycle_count(len(support), n_axes, max_cycle)
-    if total > _MAX_CYCLE_TUPLES:
-        raise InstanceTooLarge(
-            f"cycle enumeration would price {total} permutation tuples, "
-            f"cap is {_MAX_CYCLE_TUPLES}; lower max_cycle"
-        )
-    flat_cost = np.ascontiguousarray(cost_grid, dtype=float).reshape(-1)
-    strides = np.array([int(np.prod(cost_grid.shape[k + 1:])) for k in range(n_axes)],
-                       dtype=np.intp)
-    cells = np.array(support, dtype=np.intp).reshape(len(support), n_axes) * strides
-    threshold = _gain_thresholds(cost_grid, tol)
-    checked = 0
-    for M in range(2, min(max_cycle, len(support)) + 1):
-        count, violation = _scan_cycles(support, cells, flat_cost, M, n_axes, sign,
-                                        threshold(M))
-        checked += count
-        if violation is not None:
-            return MonotonicityReport(False, checked, 0, violation)
+    or shifting the cost does not change the verdict.
 
-    rng = np.random.default_rng(seed)
-    sampled = 0
-    if len(support) > max_cycle:
-        for _ in range(samples):
-            M = int(rng.integers(max_cycle + 1, min(len(support), max_cycle + 3) + 1))
-            pick = rng.choice(len(support), size=M, replace=False)
-            points = tuple(support[i] for i in sorted(pick))
-            perms = (None,) + tuple(
-                tuple(rng.permutation(M)) for _ in range(n_axes - 1)
-            )
-            sampled += 1
-            gain = _cycle_gain(points, perms, cost_grid, sign)
-            if gain > threshold(M):
-                return MonotonicityReport(False, checked, sampled,
-                                          (points, perms, gain))
-    return MonotonicityReport(True, checked, sampled)
+    Let sigma = sign * (c - sum_k phi_k), r its largest magnitude on the
+    support and v the potentials' worst dual violation (sigma >= -v on the
+    grid).  Each axis uses the same atoms before and after a permutation,
+    so the potential sums cancel and an M-cycle gains sigma summed over its
+    support cells minus sigma over the permuted cells, at most M * (r + v).
+    The report passes iff M * (r + v) is within the threshold for every M
+    from 2 to the support size, which proves every cycle length at once
+    (Kantorovich duality; for N marginals see Griessler, Proc. AMS 2018).
+    Its bound and threshold are those of the size closest to failing.
+
+    Rounding: sigma is computed in floats, each cell within about N/2
+    ulps of the cost's magnitude (the gauge keeps the potentials' partial
+    sums near it), and r and v are read off the computed values.  So an
+    M-cycle's exact gain can exceed M * (r + v) by about M * N such ulps,
+    the order of the threshold's rounding floor 2 * M * spacing(M * max|c|):
+    the floor forgives gains that small because they cannot be told from
+    rounding, whether a cycle is enumerated or bounded.  That floor, not
+    `tol` times the span, carries shifted costs: at +-1e9, r and v are
+    themselves a few ulps.
+    """
+    if len(support) < 2:                  # no cycle to permute
+        return MonotonicityReport(True, 0.0, float(_gain_thresholds(cost_grid, tol)(2)))
+    sign = 1.0 if potentials.sense == "min" else -1.0
+    sigma = sign * (cost_grid - potentials.sum_grid(cost_grid.shape))
+    r = float(np.abs(sigma[tuple(np.array(support).T)]).max())
+    v = max(0.0, -float(sigma.min()))
+    sizes = np.arange(2, len(support) + 1)
+    bounds = sizes * (r + v)
+    limits = _gain_thresholds(cost_grid, tol)(sizes)
+    worst = int(np.argmax(bounds / limits))
+    return MonotonicityReport(bool((bounds <= limits).all()),
+                              float(bounds[worst]), float(limits[worst]))
 
 
 # ---------------------------------------------------------------------------

@@ -866,36 +866,6 @@ def oracle_enumerate(instance: DiscreteInstance,
     ]
 
 
-def support_enumerate(model: PolytopeModel) -> list[np.ndarray]:
-    """Brute-force vertex enumeration over support patterns.
-
-    Independent cross-check for the pivoting oracle; only viable on grids of
-    a dozen cells or so.
-    """
-    from itertools import combinations
-
-    A, b = model.A, model.b
-    m, n = A.shape
-    if n > 12:
-        raise InstanceTooLarge("support enumeration is capped at 12 grid cells")
-    rank = int(np.linalg.matrix_rank(A, tol=VERTEX_PIVOT_TOL))
-    found: dict[tuple, np.ndarray] = {}
-    for size in range(1, rank + 1):
-        for cols in combinations(range(n), size):
-            sub = A[:, cols]
-            if np.linalg.matrix_rank(sub, tol=VERTEX_PIVOT_TOL) < size:
-                continue
-            sol, res, *_ = np.linalg.lstsq(sub, b, rcond=None)
-            if (sol <= 1e-12).any():
-                continue
-            if np.abs(sub @ sol - b).max() > 1e-9:
-                continue
-            x = np.zeros(n)
-            x[list(cols)] = sol
-            found.setdefault(_vertex_key(x), x)
-    return [found[k] for k in sorted(found)]
-
-
 # ---------------------------------------------------------------------------
 # uniqueness certificate
 # ---------------------------------------------------------------------------

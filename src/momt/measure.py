@@ -391,15 +391,3 @@ def assemble_product_conditional(
             entries[key] = entries.get(key, 0.0) + mass * w
     out = Coupling(arities, entries)
     return out
-
-
-def marginals_match(plan: Coupling, measures: list[DiscreteMeasure],
-                    tol: float = 1e-8) -> float:
-    """Largest deviation between the plan's axis marginals and the targets."""
-    worst = 0.0
-    for axis, m in enumerate(measures):
-        dev = float(np.abs(plan.axis_marginal(axis) - m.weights).max())
-        worst = max(worst, dev)
-        if dev > tol:
-            raise MarginalMismatch(axis, dev)
-    return worst

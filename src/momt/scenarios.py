@@ -83,6 +83,8 @@ class ScenarioConfig:
         self.sizes = tuple(int(s) for s in self.sizes)
         if any(s < 1 for s in self.sizes):
             raise InvariantViolation("sizes must be at least 1")
+        if self.dimension < 0:
+            raise InvariantViolation("dimension must be non-negative (0: the default)")
         self.radii = tuple(float(r) for r in self.radii)
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise InvariantViolation("shell radii must be strictly increasing")
@@ -493,9 +495,8 @@ def run_gangbo_swiech(config: ScenarioConfig) -> dict:
     for j, (red, rsol) in pairs.items():
         ok = all(len(f) == 1 for f in rsol.plan.fibers(0).values())
         reduced_graph[str(j)] = bool(ok)
-        mono = check_cyclical_monotonicity(
-            rsol.plan.support(), red.reduced_cost, sense="max", max_cycle=3
-        )
+        mono = check_cyclical_monotonicity(rsol.plan.support(), red.reduced_cost,
+                                           rsol.potentials)
         reduced_monotone[str(j)] = bool(mono.passed)
         degenerate = degenerate or not ok
 
@@ -596,7 +597,7 @@ def run_monge_quadratic(config: ScenarioConfig) -> dict:
         for j, (_, rsol) in solve_pair_reductions(inst, res.potentials).items()
     }
     mono = check_cyclical_monotonicity(res.plan.support(), inst.cost_grid(),
-                                       sense="min", max_cycle=3)
+                                       res.potentials)
     cert = lp.uniqueness_certificate(inst, res)
     checks = {
         "xy_gap": _round(xy_gap),

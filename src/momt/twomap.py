@@ -153,21 +153,6 @@ def assemble_three_marginal(assembly: TwoMapAssembly,
     return Coupling((n, assembly.n_y, assembly.n_z), entries)
 
 
-def two_map_restriction(alpha, T1, T2, mu: DiscreteMeasure, n_other: int) -> Coupling:
-    """The two-map coupling (alpha on the first map, 1-alpha on the second)."""
-    alpha = np.asarray(alpha, dtype=float)
-    entries: dict[tuple[int, int], float] = {}
-    for x in range(mu.size):
-        w = mu.weights[x]
-        for a, T in ((float(alpha[x]), T1), (1.0 - float(alpha[x]), T2)):
-            mass = w * a
-            if mass <= MASS_FLOOR:
-                continue
-            key = (x, int(T[x]))
-            entries[key] = entries.get(key, 0.0) + mass
-    return Coupling((mu.size, n_other), entries)
-
-
 def recover_theta(plan: Coupling, assembly_like: TwoMapAssembly,
                   mu: DiscreteMeasure) -> np.ndarray:
     """Read the per-atom mixing weight off a feasible triple coupling.
@@ -192,53 +177,3 @@ def recover_theta(plan: Coupling, assembly_like: TwoMapAssembly,
         l11 = plan.mass_at((x, y1, z1)) / w
         theta[x] = float(np.clip((l11 - low_all[x]) / width, 0.0, 1.0))
     return theta
-
-
-def two_map_data_from_plans(plan_xy: Coupling, plan_xz: Coupling,
-                            mu: DiscreteMeasure):
-    """Extract (alpha, T1, T2, beta, G1, G2) from two two-map restrictions.
-
-    Maps are ordered by decreasing conditional weight (ties by atom index);
-    singleton fibers coalesce to a duplicated map with weight 1, collapsing
-    that atom's window.
-    """
-    def extract(plan):
-        fibers = plan.fibers(0)
-        n = mu.size
-        w1 = np.ones(n)
-        m1 = np.zeros(n, dtype=int)
-        m2 = np.zeros(n, dtype=int)
-        for x in range(n):
-            if mu.weights[x] <= MASS_FLOOR:
-                continue
-            items = sorted(fibers.get(x, {}).items(), key=lambda kv: (-kv[1], kv[0]))
-            if len(items) == 0 or len(items) > 2:
-                raise InvariantViolation(
-                    f"atom {x}: fiber size {len(items)}, need 1 or 2 for two-map data"
-                )
-            m1[x] = items[0][0][0]
-            if len(items) == 1:
-                m2[x] = m1[x]
-                w1[x] = 1.0
-            else:
-                m2[x] = items[1][0][0]
-                w1[x] = items[0][1] / mu.weights[x]
-        return w1, m1, m2
-
-    alpha, T1, T2 = extract(plan_xy)
-    beta, G1, G2 = extract(plan_xz)
-    return alpha, T1, T2, beta, G1, G2
-
-
-def dense_window_scan(alpha: float, beta: float, step: float = 1e-3,
-                      tol: float = 1e-9):
-    """Scan L11 over [0, 1]; return values whose full row stays in [0, 1].
-
-    Every admissible value must land inside the analytic window; used as a
-    brute-force confirmation of the window formula.
-    """
-    values = np.arange(0.0, 1.0 + step / 2, step)
-    rows = _rows_from_l11(np.full_like(values, alpha), np.full_like(values, beta),
-                          values)
-    ok = ((rows >= -tol) & (rows <= 1 + tol)).all(axis=1)
-    return values[ok]

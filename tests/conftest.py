@@ -3,7 +3,9 @@ import pytest
 
 from momt.costs import CostSpec
 from momt.instance import DiscreteInstance
-from momt.measure import DiscreteMeasure, Space
+from momt.measure import Coupling, DiscreteMeasure, Space
+from momt.tolerances import MASS_FLOOR
+from momt.twomap import _rows_from_l11
 
 
 def random_instance(seed, n_axes=3, max_atoms=4, kind="surplus", sense="min",
@@ -66,6 +68,36 @@ def twin_tensor(rng, n=5):
     weights[1] = np.r_[1 / 3, 1 / 3, weights[1][2:] / weights[1][2:].sum() / 3]
     weights[0] = (weights[0] + 1.0 / n) / 2
     return values, weights
+
+
+def two_map_restriction(alpha, T1, T2, mu: DiscreteMeasure, n_other: int) -> Coupling:
+    """The two-map coupling (alpha on the first map, 1-alpha on the second);
+    a test oracle for the assemblies' pair restrictions."""
+    alpha = np.asarray(alpha, dtype=float)
+    entries: dict[tuple[int, int], float] = {}
+    for x in range(mu.size):
+        w = mu.weights[x]
+        for a, T in ((float(alpha[x]), T1), (1.0 - float(alpha[x]), T2)):
+            mass = w * a
+            if mass <= MASS_FLOOR:
+                continue
+            key = (x, int(T[x]))
+            entries[key] = entries.get(key, 0.0) + mass
+    return Coupling((mu.size, n_other), entries)
+
+
+def dense_window_scan(alpha: float, beta: float, step: float = 1e-3,
+                      tol: float = 1e-9):
+    """Scan L11 over [0, 1]; return values whose full row stays in [0, 1].
+
+    Every admissible value must land inside the analytic window; used as a
+    brute-force confirmation of the window formula.
+    """
+    values = np.arange(0.0, 1.0 + step / 2, step)
+    rows = _rows_from_l11(np.full_like(values, alpha), np.full_like(values, beta),
+                          values)
+    ok = ((rows >= -tol) & (rows <= 1 + tol)).all(axis=1)
+    return values[ok]
 
 
 @pytest.fixture

@@ -175,28 +175,74 @@ def test_diagnose_zero_cost_flags_non_unique(tmp_path, capsys):
     assert out["certificates"]["uniqueness"]["witness"]
 
 
-def test_diagnose_refuses_a_cycle_enumeration_above_the_cap(tmp_path):
-    # 8-point cycles over at least 8 support cells of a 3-axis plan would be
-    # more than 2**30 permutation tuples (13 cells: about 2.1e12); the child
-    # must exit 3 before pricing any of them
-    rng = np.random.default_rng(1)
+def test_diagnose_reports_the_monotonicity_bound(tmp_path, capsys):
+    # monotonicity is proved from the potentials for every cycle length:
+    # the output carries the bound and the threshold it was compared with,
+    # and there is no cycle-length option
+    path = _write(tmp_path, THREE_MARGINAL)
+    assert main(["diagnose", path]) == 0
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    assert certs["cyclically_monotone"] is True
+    assert 0.0 <= certs["monotonicity_bound"] <= certs["monotonicity_threshold"]
+    assert "monotonicity_checked" not in certs
+    assert main(["diagnose", path, "--tol", "0"]) == 0
+    exact = json.loads(capsys.readouterr().out)["certificates"]
+    # --tol 0 is taken as given, not replaced by the default
+    assert exact["monotonicity_threshold"] < 1e-12 < certs["monotonicity_threshold"]
+    with pytest.raises(SystemExit) as exc:
+        main(["diagnose", path, "--max-cycle", "3"])
+    assert exc.value.code == 2
+    assert "--max-cycle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve", "--oracle"], ["diagnose"]])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "tight"])
+def test_bad_tolerance_exit_2(tmp_path, capsys, command, tol):
+    path = _write(tmp_path, TWO_BY_TWO)
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], path, *command[1:], "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_solve_oracle_uses_the_given_tolerance(tmp_path, capsys):
+    # a 3x3 instance whose solve and oracle values differ in the last bits
+    # (1.7e-16 here): --tol 0 must not be read as the default
+    rng = np.random.default_rng(7)
+    cost = rng.uniform(0, 1, (3, 3))
     doc = {"version": 1,
-           "spaces": [{"name": f"X{k}", "points": np.arange(5.0)[:, None].tolist()}
-                      for k in range(3)],
-           "weights": [rng.dirichlet(np.ones(5)).tolist() for _ in range(3)],
-           "cost": {"tensor": rng.uniform(0, 1, (5, 5, 5)).tolist()},
+           "spaces": [{"name": n, "points": [[0.0], [1.0], [2.0]]} for n in "XY"],
+           "weights": [rng.dirichlet(np.ones(3)).tolist() for _ in range(2)],
+           "cost": {"tensor": cost.tolist()},
            "sense": "min"}
     path = _write(tmp_path, doc)
-    out = tmp_path / "out.json"
-    assert main(["solve", path, "--out", str(out)]) == 0
-    assert len(json.loads(out.read_text())["support"]) >= 8
-    cmd = [sys.executable, "-m", "momt.cli", "diagnose", path, "--max-cycle", "8"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=_cli_env(),
-                          timeout=120)
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("solver error:") and "cap" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    for tol in ("0", "1e-9"):
+        assert main(["solve", path, "--oracle", "--tol", tol]) == 0
+        oracle = json.loads(capsys.readouterr().out)["certificates"]["oracle"]
+        assert oracle["agrees"] == (oracle["agreement_gap"] <= float(tol))
+    assert oracle["agrees"]
+
+
+@pytest.mark.parametrize("kind", ["gs", "mq", "gw"])
+def test_scenario_negative_dimension_exit_2(kind, capsys):
+    assert main(["scenario", kind, "--d", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dimension" in err
+
+
+def test_attractive_far_from_the_origin_keeps_its_optimum(tmp_path, capsys):
+    # 0.5 |x - y|^2 tabulated from |x|^2 + |y|^2 - 2<x, y> cancels to zero
+    # here; the identity plan is worth 0 and the swap 0.5
+    points = [[1e8, 1e8], [1e8 + 1, 1e8]]
+    doc = {"version": 1,
+           "spaces": [{"name": "X", "points": points}, {"name": "Y", "points": points}],
+           "weights": [[0.5, 0.5], [0.5, 0.5]],
+           "cost": {"builtin": "attractive"},
+           "sense": "max"}
+    assert main(["solve", _write(tmp_path, doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"] == 0.5
+    assert [row["index"] for row in out["support"]] == [[1, 2], [2, 1]]
 
 
 def test_scenario_unknown_kind_exit_2(capsys):
@@ -345,7 +391,7 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
         ["reduce", three, "--subset", "1,3"],
         ["solve", _write(tmp_path, bad, "bad.json")],
         ["reduce", three],                               # argparse: --subset missing
-        ["diagnose", three, "--max-cycle", "2"],
+        ["diagnose", three, "--tol", "1e-6"],
         ["scenario", "shells", "--n", "6", "--seed", "2"],
         ["solve", two, "--oracle"],
     ]

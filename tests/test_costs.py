@@ -101,11 +101,12 @@ _COORD = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0, 3.0]),
 
 @st.composite
 def _cost_case(draw):
-    kind = draw(st.sampled_from(["mongeQuadratic", "gromovWasserstein"]))
+    kind = draw(st.sampled_from([k for k in costs.BUILTIN_KINDS if k != "tensor"]))
     d = draw(st.integers(1, 4))
     scale = 10.0 ** draw(st.integers(-4, 4))
     order = draw(st.sampled_from("CF"))
-    n_axes = 3 if kind == "mongeQuadratic" else 2
+    n_axes = {"mongeQuadratic": 3, "gromovWasserstein": 2}.get(kind) \
+        or draw(st.integers(2, 4))
     spaces = []
     for k in range(n_axes):
         rows = draw(st.lists(st.tuples(*[_COORD] * d), min_size=1, max_size=7,

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -134,11 +136,39 @@ def test_single_point_grid_has_one_vertex():
     assert len(lp.oracle_enumerate(inst)) == 1
 
 
+def support_enumerate(model):
+    """Brute-force vertex enumeration over support patterns.
+
+    Independent cross-check for the pivoting oracle; only viable on grids of
+    a dozen cells or so.
+    """
+    A, b = model.A, model.b
+    m, n = A.shape
+    if n > 12:
+        raise InstanceTooLarge("support enumeration is capped at 12 grid cells")
+    rank = int(np.linalg.matrix_rank(A, tol=lp.VERTEX_PIVOT_TOL))
+    found: dict[tuple, np.ndarray] = {}
+    for size in range(1, rank + 1):
+        for cols in combinations(range(n), size):
+            sub = A[:, cols]
+            if np.linalg.matrix_rank(sub, tol=lp.VERTEX_PIVOT_TOL) < size:
+                continue
+            sol, res, *_ = np.linalg.lstsq(sub, b, rcond=None)
+            if (sol <= 1e-12).any():
+                continue
+            if np.abs(sub @ sol - b).max() > 1e-9:
+                continue
+            x = np.zeros(n)
+            x[list(cols)] = sol
+            found.setdefault(lp._vertex_key(x), x)
+    return [found[k] for k in sorted(found)]
+
+
 def test_oracle_matches_support_enumeration_2x2x2():
     inst = random_instance(14, n_axes=3, max_atoms=2, uniform=True)
     verts_pivot = lp.oracle_enumerate(inst)
     model = lp.standard_model(inst.measures)
-    verts_brute = lp.support_enumerate(model)
+    verts_brute = support_enumerate(model)
 
     def key(x):
         return tuple((int(c), round(float(x[c]), 10))

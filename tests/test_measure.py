@@ -18,13 +18,25 @@ from momt.measure import (
     assemble_product_conditional,
     disintegrate,
     glue,
-    marginals_match,
     pushforward,
     recombine,
 )
 from momt.reduction import reduce
 from momt.tolerances import MASS_FLOOR, STORAGE_TOL
 from conftest import random_instance
+
+
+def marginals_match(plan: Coupling, measures: list[DiscreteMeasure],
+                    tol: float = 1e-8) -> float:
+    """Largest deviation between the plan's axis marginals and the targets
+    (a test oracle)."""
+    worst = 0.0
+    for axis, m in enumerate(measures):
+        dev = float(np.abs(plan.axis_marginal(axis) - m.weights).max())
+        worst = max(worst, dev)
+        if dev > tol:
+            raise MarginalMismatch(axis, dev)
+    return worst
 
 
 def test_space_rejects_duplicate_points():

@@ -9,16 +9,51 @@ from momt.measure import Coupling, DiscreteMeasure, Space
 from momt.twomap import (
     TwoMapAssembly,
     assemble_three_marginal,
-    dense_window_scan,
     extreme_assemblies,
     lij_window,
     mixed_assembly,
     product_rows,
     recover_theta,
-    two_map_data_from_plans,
-    two_map_restriction,
     unique_condition,
 )
+from momt.tolerances import MASS_FLOOR
+from conftest import dense_window_scan, two_map_restriction
+
+def two_map_data_from_plans(plan_xy: Coupling, plan_xz: Coupling,
+                            mu: DiscreteMeasure):
+    """Extract (alpha, T1, T2, beta, G1, G2) from two two-map restrictions.
+
+    Maps are ordered by decreasing conditional weight (ties by atom index);
+    singleton fibers coalesce to a duplicated map with weight 1, collapsing
+    that atom's window.
+    """
+    def extract(plan):
+        fibers = plan.fibers(0)
+        n = mu.size
+        w1 = np.ones(n)
+        m1 = np.zeros(n, dtype=int)
+        m2 = np.zeros(n, dtype=int)
+        for x in range(n):
+            if mu.weights[x] <= MASS_FLOOR:
+                continue
+            items = sorted(fibers.get(x, {}).items(), key=lambda kv: (-kv[1], kv[0]))
+            if len(items) == 0 or len(items) > 2:
+                raise InvariantViolation(
+                    f"atom {x}: fiber size {len(items)}, need 1 or 2 for two-map data"
+                )
+            m1[x] = items[0][0][0]
+            if len(items) == 1:
+                m2[x] = m1[x]
+                w1[x] = 1.0
+            else:
+                m2[x] = items[1][0][0]
+                w1[x] = items[0][1] / mu.weights[x]
+        return w1, m1, m2
+
+    alpha, T1, T2 = extract(plan_xy)
+    beta, G1, G2 = extract(plan_xz)
+    return alpha, T1, T2, beta, G1, G2
+
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
