@@ -1,22 +1,37 @@
 """Exact primal/dual solver for discrete Monge-Kantorovich linear programs.
 
-The solver is a revised simplex.  It prices by the most negative reduced
-cost (Dantzig) and, after a run of degenerate pivots, leaves by the
-lexicographic ratio test until a pivot makes progress, so it cannot cycle.
-The basis inverse is kept by rank-one updates and refactorised at a fixed
-interval and before optimality is declared.  A pivot makes a fixed handful
-of numpy calls (two products with B^-1, the pricing broadcast, the entering
-column, the rank-one update) and runs its ratio test over Python floats,
-because a basis has only sum(n_k) - N + 1 rows.  `solve` builds no constraint
-matrix: a transport column holds one 1 per axis block, so pricing is the
-broadcast c - sum_k y_k[i_k] and a column is N index writes
-(`_TransportColumns`).  It starts from a least-cost basis (no phase 1) on
-the cost normalised to minimum 0 and span 1, and returns a basic (vertex)
-plan with strictly complementary potentials: their active set is the union
-of all optimal supports, whatever the pivot path.  The face LP that makes them so also
-decides uniqueness: it either proves the vertex the only optimal plan or
-returns a second optimal vertex, which `uniqueness_certificate` turns into
-a witness without an LP of its own.
+`solve` builds no constraint matrix: a transport column holds one 1 per
+axis block, so pricing is the broadcast c - sum_k y_k[i_k] and a column is
+N index writes (`_TransportColumns`).  It starts from a least-cost basis (no
+phase 1) on the cost normalised to minimum 0 and span 1, prices by the most
+negative reduced cost (Dantzig) over the whole grid, and returns a basic
+(vertex) plan with strictly complementary potentials: their active set is
+the union of all optimal supports, whatever the pivot path.  The number of
+marginals N alone picks one of two simplex cores:
+
+- N = 2 (`_Tree`, `_tree_loop`): a basis is a spanning tree of the
+  bipartite atom graph, so the network simplex keeps no basis inverse.  The
+  potentials come from one traversal, and a pivot recomputes them only on
+  the subtree it cuts off; an entering cell's direction is the tree cycle
+  it closes, with coefficients +-1; basic masses come from leaf elimination,
+  so the plan's bytes depend on the basis alone.  The leaving arc follows
+  the strongly feasible tree rule (Cunningham 1976), which cannot cycle.
+  Two-marginal problems are most of the work: every pair reduction (0, j)
+  that the paper's reconstruction rests on is one.
+- N >= 3 (`_pivot_loop`): the bases are no trees, so a revised simplex keeps
+  B^-1 by rank-one updates, refactorised at a fixed interval and before
+  optimality is declared.  After a run of degenerate pivots it leaves by
+  the lexicographic ratio test until a pivot makes progress, so it cannot
+  cycle.  A pivot makes a fixed handful of numpy calls (two products with
+  B^-1, the pricing broadcast, the entering column, the rank-one update)
+  and runs its ratio test over Python floats, because a basis has only
+  sum(n_k) - N + 1 rows.
+
+The face LP that makes the potentials strictly complementary runs on the
+same core, warm-started from the optimal basis.  It also decides
+uniqueness: it either proves the vertex the only optimal plan or returns a
+second optimal vertex, which `uniqueness_certificate` turns into a witness
+without an LP of its own.
 General polytopes (`PolytopeModel`, `solve_model`) keep a dense matrix and
 start with a phase 1 over artificials.
 Maximization instances are negated internally and the sense is restored in
@@ -452,6 +467,215 @@ def _simplex(A, b, costs, max_iter=_MAX_PIVOTS, basis=None):
 
 
 # ---------------------------------------------------------------------------
+# network simplex (two marginals)
+# ---------------------------------------------------------------------------
+
+class _Tree:
+    """Spanning-tree basis of a two-marginal transport problem.
+
+    Node i < n0 is atom i of axis 0 and node n0 + k atom k of axis 1; cell
+    (i, k) is the arc i -> n0 + k, carrying mass from axis 0 to axis 1.  The
+    tree hangs from the root n0 + n1 - 1, the atom whose row
+    `_TransportColumns` drops.  Each other node v keeps its parent, the cell
+    of the arc to it, that arc's flow and v's depth; `kids` are the
+    children.  Positions of `basis` are nodes, so the basis is a function of
+    the cells alone.
+
+    The tree is strongly feasible (Cunningham 1976): from every node some
+    positive flow can reach the root along the tree.  Arcs from a child on
+    axis 0 point to the root, so this asks a positive flow on the parent arc
+    of every non-root atom of axis 1, except the `void` ones (weight <= 0),
+    which are kept as leaves instead.  The start (least-cost) tree is
+    repaired to that form: a void atom's children hang from its cheapest
+    axis-1 ancestor, and an atom whose parent arc is empty is re-hung from a
+    child with positive flow, whose arc goes to the cheapest axis-1 ancestor
+    (the cut subtree has no net mass, so no flow moves).
+    """
+
+    def __init__(self, cols, cells, masses, c):
+        n0, n1 = cols.arities
+        self.n0 = n0
+        nodes = n0 + n1
+        self.root = root = nodes - 1
+        self.iterations = 0
+        self.parent = parent = [-1] * nodes
+        self.cell = cell = [-1] * nodes
+        self.flow = flow = [0.0] * nodes
+        self.depth = [0] * nodes
+        self.kids = kids = [set() for _ in range(nodes)]
+        arcs = [[] for _ in range(nodes)]
+        for j, mass in zip(cells, masses):
+            i, k = divmod(j, n1)
+            arcs[i].append((n0 + k, j, mass))
+            arcs[n0 + k].append((i, j, mass))
+        order = [root]
+        for v in order:
+            for w, j, mass in arcs[v]:
+                if w != parent[v]:
+                    parent[w], cell[w], flow[w] = v, j, max(mass, 0.0)
+                    kids[v].add(w)
+                    order.append(w)
+        void = [False] * n0 + [w <= 0.0 for w in cols.b[n0:].tolist()]
+        c = c.reshape(n0, n1)
+
+        def rehang(i, v):
+            # hang axis-0 node i, now a child of v, from v's cheapest axis-1
+            # ancestor with i's arc flow unchanged
+            ups = []
+            w = parent[v]
+            while w >= 0:
+                if w >= n0:
+                    ups.append(w)
+                w = parent[w]
+            k = min(ups, key=lambda w: c[i, w - n0])
+            kids[parent[i]].discard(i)
+            kids[k].add(i)
+            parent[i], cell[i] = k, i * n1 + k - n0
+
+        for v in order[1:]:
+            if v < n0:
+                continue
+            if void[v]:
+                for i in list(kids[v]):
+                    rehang(i, v)
+            elif flow[v] == 0.0:
+                i = max(kids[v], key=flow.__getitem__, default=-1)
+                if i < 0 or flow[i] == 0.0:
+                    continue                 # only with negative weights
+                up, j, f = parent[v], cell[i], flow[i]
+                rehang(i, v)
+                flow[i] = 0.0
+                kids[up].discard(v)
+                kids[i].add(v)
+                parent[v], cell[v], flow[v] = i, j, f
+
+    @property
+    def basis(self):
+        return self.cell[:self.root]
+
+    def masses(self, b):
+        """Basic flows by leaf elimination, in `basis` order.
+
+        An arc carries the net mass of the subtree below it, summed from the
+        deepest level up, each level in increasing node order: the result
+        depends on the cells alone, whatever the pivots that led to them.
+        """
+        n0, root, parent, kids = self.n0, self.root, self.parent, self.kids
+        excess = b.tolist() + [0.0]           # net mass each node sends up
+        excess[n0:] = [-w for w in excess[n0:]]
+        level, levels = [root], []
+        while level:
+            level = [w for v in level for w in kids[v]]
+            levels.append(level)
+        for level in reversed(levels):
+            for v in sorted(level):
+                excess[parent[v]] += excess[v]
+        excess[n0:] = [-e for e in excess[n0:]]
+        return np.array(excess[:root])
+
+
+def _tree_loop(cols, b, costs, tree, allow_enter, max_iter=_MAX_PIVOTS):
+    """Network simplex on a `_Tree` (min sense); returns (xB, y) as `_pivot_loop`.
+
+    The potentials come from one traversal from the root (potential 0):
+    u_i + v_k = c_ik on every tree arc.  y lists them in the row layout of
+    `_TransportColumns`, the root's being the dropped row.  Pricing is the
+    whole-grid Dantzig broadcast c - u_i - v_k over the allowed cells.  The
+    entering cell (p, q) closes a cycle with the tree paths from p and q up
+    to their apex; oriented along the entering arc, the arcs it crosses
+    against their direction are those at axis-1 nodes on q's side and at
+    axis-0 nodes on p's side, and the least flow theta among them moves
+    around the cycle.  The leaving arc is the last of them with flow theta
+    met from the apex along the orientation: on q's side the one nearest
+    the apex, else on p's side the one nearest p.  The subtree it cuts off
+    hangs from the entering arc again, and only its depths and potentials
+    are recomputed.  Flows are updated by +-theta, so a zero flow is exact;
+    the returned xB is recomputed by `_Tree.masses`.
+
+    Termination, in exact arithmetic.  The rule keeps the tree strongly
+    feasible (Cunningham 1976; Ahuja, Magnanti & Orlin, *Network Flows*,
+    1993, section 11.5), so every arc that could block on q's side carries
+    flow, unless q is a void leaf.  A pivot with theta > 0 lowers the cost
+    by theta times the reduced cost's magnitude.  A degenerate pivot at a q
+    that is not void therefore cuts a subtree off on p's side; hung from the
+    entering arc, all its u_i and -v_k fall by that magnitude, so
+    sum(u) - sum(v) falls and the cost stays.  Void leaves carry no flow
+    and lie on no cycle but their own, so the cost and that sum over the
+    other nodes depend only on the tree without its void leaves, which a
+    pivot entering at a void leaf leaves as it is: such a pivot re-hangs q
+    alone and lowers v_q with every other potential fixed, so it cannot
+    recur before the rest of the tree changes.  Hence no tree recurs, and
+    there are finitely many.  No B^-1, stall counter or pivot size test is
+    needed: a cycle's coefficients are +-1.
+    """
+    n0, n1 = cols.arities
+    root = tree.root
+    parent, cell, flow, depth, kids = (tree.parent, tree.cell, tree.flow,
+                                       tree.depth, tree.kids)
+    cl = costs.tolist()
+    pot = [0.0] * (root + 1)
+
+    def hang(s):
+        # depths and potentials below s, from s's own
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            d, pv = depth[v] + 1, pot[v]
+            for w in kids[v]:
+                depth[w] = d
+                pot[w] = cl[cell[w]] - pv
+            stack.extend(kids[v])
+
+    hang(root)
+    c_open = np.where(allow_enter, costs[:cols.n], np.inf).reshape(n0, n1)
+    reduced = np.empty((n0, n1))
+    while True:
+        y = np.array(pot)
+        np.subtract(c_open, y[:n0, None], out=reduced)
+        reduced -= y[n0:]
+        entering = int(reduced.argmin())
+        if not reduced.item(entering) < -REDUCED_COST_TOL:
+            return tree.masses(b), y[:root]
+        tree.iterations += 1
+        if tree.iterations > max_iter:
+            raise SolverError("simplex iteration cap exceeded")
+        p, q = divmod(entering, n1)
+        q += n0
+        pside, qside = [], []            # nodes whose parent arc is on the cycle
+        tp = tq = math.inf               # least blocking flow on each side
+        a, z = p, q
+        while a != z:
+            if depth[a] >= depth[z]:
+                if a < n0 and flow[a] < tp:
+                    tp, at = flow[a], len(pside)
+                pside.append(a)
+                a = parent[a]
+            else:
+                if z >= n0 and flow[z] <= tq:
+                    tq, atq = flow[z], len(qside)
+                qside.append(z)
+                z = parent[z]
+        if tq <= tp:
+            theta, s, t, path = tq, q, p, qside[:atq + 1]
+        else:
+            theta, s, t, path = tp, p, q, pside[:at + 1]
+        if theta > 0.0:
+            for v in pside:
+                flow[v] += theta if v >= n0 else -theta
+            for v in qside:
+                flow[v] += theta if v < n0 else -theta
+        up, j, f = t, entering, theta
+        for v in path:                   # s up to the leaving arc, reversed
+            kids[parent[v]].discard(v)
+            kids[up].add(v)
+            parent[v], up = up, v
+            cell[v], j = j, cell[v]
+            flow[v], f = f, flow[v]
+        depth[s], pot[s] = depth[t] + 1, cl[entering] - pot[t]
+        hang(s)
+
+
+# ---------------------------------------------------------------------------
 # potentials and solve
 # ---------------------------------------------------------------------------
 
@@ -549,7 +773,8 @@ def _coupling_from_x(x: np.ndarray, arities: tuple[int, ...]) -> Coupling:
     return Coupling(arities, dict(zip(idx, (x[cols] / total).tolist())))
 
 
-def _least_cost_basis(measures: list[DiscreteMeasure], c: np.ndarray) -> list[int]:
+def _least_cost_basis(measures: list[DiscreteMeasure],
+                      c: np.ndarray) -> tuple[list[int], list[float]]:
     """Least-cost start basis of the standard model for the flat cost c.
 
     Take the cheapest cell among live atoms (lowest index on ties), place
@@ -559,13 +784,14 @@ def _least_cost_basis(measures: list[DiscreteMeasure], c: np.ndarray) -> list[in
     cells.  The atom a cell retires is in no later cell, so on the rows of
     the retired atoms the columns are triangular, hence independent; the
     dropped rows of `standard_model` are sums of kept ones, so the cells
-    are a basis, and the placed masses make it feasible.
+    are a basis, and the placed masses make it feasible.  Returns the cells
+    and the masses placed on them.
     """
     arities = tuple(m.size for m in measures)
     left = [m.weights.tolist() for m in measures]
     live = list(arities)
     free = c.reshape(arities).copy()
-    cells = []
+    cells, masses = [], []
     while True:
         cell = int(free.argmin())
         cells.append(cell)
@@ -575,22 +801,24 @@ def _least_cost_basis(measures: list[DiscreteMeasure], c: np.ndarray) -> list[in
             at.append(i)
         at.reverse()
         mass = min(w[i] for w, i in zip(left, at))
+        masses.append(mass)
         for w, i in zip(left, at):
             w[i] -= mass
         movable = [k for k in range(len(arities)) if live[k] > 1]
         if not movable:
-            return cells
+            return cells, masses
         k = min(movable, key=lambda k: left[k][at[k]])
         live[k] -= 1
         free[(slice(None),) * k + (at[k],)] = np.inf
 
 
-def _strictly_complementary(cols, b, c, x, y, state):
+def _strictly_complementary(cols, b, c, x, y, state, loop):
     """Move optimal duals y onto the relative interior of the dual face.
 
     Returns them with the first positive face-LP solution, or None.  Cells
     priced within ACTIVE_TOL may carry optimal mass.  A face LP over them,
-    warm-started from the optimal basis, maximizes the mass off the cells
+    warm-started from the optimal basis `state` and pivoted by `loop`
+    (`_pivot_loop` or `_tree_loop`), maximizes the mass off the cells
     known to be in some optimal support.  A positive optimum is another
     optimal plan: its support joins the known cells and the face LP runs
     again.  A zero optimum proves the known cells are the union of all
@@ -609,7 +837,7 @@ def _strictly_complementary(cols, b, c, x, y, state):
         if not off.any():
             return y, second
         face = -off.astype(float)
-        xB, psi = _pivot_loop(cols, b, face, state, active)
+        xB, psi = loop(cols, b, face, state, active)
         xf = _basic_solution(xB, state, cols.n)
         if xf[off].sum() > _FACE_MASS_TOL:
             if second is None:
@@ -631,9 +859,11 @@ def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> Solve
     Returns a basic optimal plan (a polytope vertex), canonical-gauge dual
     potentials, and the optimal value; strong duality and complementary
     slackness residuals are carried along for auditing.  The simplex runs
-    on the cost shifted to minimum 0 and divided by its span, and the
-    potentials are strictly complementary: their active set (within
-    ACTIVE_TOL times the span) is the union of all optimal supports.
+    on the cost shifted to minimum 0 and divided by its span (a span that
+    overflows raises NonFiniteCost): the network simplex for two marginals,
+    the dense revised simplex for more.  The potentials are strictly
+    complementary: their active set (within ACTIVE_TOL times the span) is
+    the union of all optimal supports.
     """
     n_cells = instance.grid_size()
     if n_cells > grid_cap:
@@ -645,12 +875,19 @@ def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> Solve
     sign = -1.0 if instance.sense == "max" else 1.0
     c = sign * grid.reshape(-1)
     shift = float(c.min())
-    span = float(c.max() - shift) or 1.0
+    span = float(c.max()) - shift             # Python floats: overflow is inf, silently
+    if span == math.inf:
+        raise NonFiniteCost("cost span overflows the float range")
+    span = span or 1.0
     c = (c - shift) / span
-    state = _SimplexState(basis=_least_cost_basis(instance.measures, c))
-    xB, y = _pivot_loop(cols, cols.b, c, state, np.ones(cols.n, dtype=bool))
+    cells, masses = _least_cost_basis(instance.measures, c)
+    if instance.n_axes == 2:
+        loop, state = _tree_loop, _Tree(cols, cells, masses, c)
+    else:
+        loop, state = _pivot_loop, _SimplexState(basis=cells)
+    xB, y = loop(cols, cols.b, c, state, np.ones(cols.n, dtype=bool))
     x = _basic_solution(xB, state, cols.n)
-    y, second = _strictly_complementary(cols, cols.b, c, x, y, state)
+    y, second = _strictly_complementary(cols, cols.b, c, x, y, state, loop)
 
     x_grid = x.reshape(instance.arities)
     residual = max(
@@ -669,7 +906,7 @@ def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> Solve
     potentials = Potentials(vectors, instance.sense)
     slack = grid - potentials.sum_grid(instance.arities)
     violation = _dual_violation(slack, instance.sense)
-    if violation > cost_scaled(DUAL_FEAS_TOL, grid):
+    if not violation <= cost_scaled(DUAL_FEAS_TOL, grid):      # NaN fails too
         raise SolverError(f"potentials violate dual feasibility by {violation:.3e}")
 
     value = sign * (shift + span * float(c @ x))

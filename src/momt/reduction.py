@@ -91,7 +91,7 @@ def reduce(instance: DiscreteInstance, potentials: Potentials,
     subset.require_reducible()
     cost = instance.cost_grid()
     viol = potentials.feasibility_violation(cost)
-    if viol > cost_scaled(DUAL_FEAS_TOL, cost):
+    if not viol <= cost_scaled(DUAL_FEAS_TOL, cost):
         raise InfeasiblePotentials(f"dual feasibility violated by {viol:.3e}")
 
     comp = subset.complement

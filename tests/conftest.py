@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from momt import lp
 from momt.costs import CostSpec
 from momt.instance import DiscreteInstance
 from momt.measure import Coupling, DiscreteMeasure, Space
@@ -36,6 +37,28 @@ def tensor_instance(values, weights=None, sense="min"):
                 for s, w in zip(spaces, weights)]
     return DiscreteInstance(spaces, measures,
                             CostSpec("tensor", sense, {"values": values}))
+
+
+def dense_solve(inst):
+    """`lp.solve`'s start, pivot loop and face LP on the dense core, at any N.
+
+    Two-marginal instances solve on the tree core, so this is their oracle.
+    Returns a SolveResult with plan, value, pivots and second vertex (no
+    potentials), ready for `lp.uniqueness_certificate`.
+    """
+    cols = lp._TransportColumns(inst.measures)
+    sign = -1.0 if inst.sense == "max" else 1.0
+    c = sign * inst.cost_grid().reshape(-1)
+    shift = float(c.min())
+    span = float(c.max()) - shift or 1.0
+    c = (c - shift) / span
+    state = lp._SimplexState(basis=lp._least_cost_basis(inst.measures, c)[0])
+    xB, y = lp._pivot_loop(cols, cols.b, c, state, np.ones(cols.n, dtype=bool))
+    x = lp._basic_solution(xB, state, cols.n)
+    _, second = lp._strictly_complementary(cols, cols.b, c, x, y, state, lp._pivot_loop)
+    return lp.SolveResult(lp._coupling_from_x(x, inst.arities), None,
+                          sign * (shift + span * float(c @ x)), state.iterations,
+                          second_vertex=second)
 
 
 def twin_surplus_instance(seed, n=8):

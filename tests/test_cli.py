@@ -90,6 +90,23 @@ def test_overflowing_points_exit_3_without_warnings(tmp_path, capsys, cost):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_axes", [2, 3])
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_overflowing_cost_span_exit_3_without_warnings(tmp_path, capsys, n_axes, command):
+    # finite tensor cells of +-9e307 have a span beyond the float range
+    values = (np.indices((2,) * n_axes).sum(axis=0) % 2 * 2.0 - 1.0) * 9e307
+    doc = {
+        "version": 1,
+        "spaces": [{"name": f"A{k}", "points": [[0.0], [1.0]]} for k in range(n_axes)],
+        "weights": [[0.5, 0.5]] * n_axes,
+        "cost": {"tensor": values.tolist()},
+        "sense": "min",
+    }
+    assert main([command, _write(tmp_path, doc)]) == 3
+    assert "span overflows" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["solve", "/nonexistent/instance.json"]) == 2
 

@@ -39,6 +39,20 @@ def test_nonfinite_cost_rejected():
         tensor_instance(vals).cost_grid()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_axes", [2, 3])
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_overflowing_cost_span_raises_without_warnings(n_axes, sense):
+    # finite cells of +-9e307: max - min overflows, and the solve used to
+    # return NaN value and potentials on a non-optimal plan
+    sign = np.indices((2,) * n_axes).sum(axis=0) % 2 * 2.0 - 1.0
+    with pytest.raises(NonFiniteCost, match="span"):
+        lp.solve(tensor_instance(9e307 * sign, sense=sense))
+    # just inside the float range the solve still works
+    res = lp.solve(tensor_instance(4e307 * sign, sense=sense))
+    assert res.value == pytest.approx(-4e307 if sense == "min" else 4e307, rel=1e-12)
+
+
 def test_grid_cap():
     inst = random_instance(0, n_axes=3, max_atoms=4)
     with pytest.raises(InstanceTooLarge):
