@@ -484,12 +484,16 @@ class _Tree:
     The tree is strongly feasible (Cunningham 1976): from every node some
     positive flow can reach the root along the tree.  Arcs from a child on
     axis 0 point to the root, so this asks a positive flow on the parent arc
-    of every non-root atom of axis 1, except the `void` ones (weight <= 0),
-    which are kept as leaves instead.  The start (least-cost) tree is
-    repaired to that form: a void atom's children hang from its cheapest
-    axis-1 ancestor, and an atom whose parent arc is empty is re-hung from a
-    child with positive flow, whose arc goes to the cheapest axis-1 ancestor
-    (the cut subtree has no net mass, so no flow moves).
+    of every non-root atom of axis 1, except the void ones, which are kept
+    as leaves with no flow instead.  The start (least-cost) tree is
+    repaired to that form.  An axis-1 atom whose parent arc is empty is
+    re-hung from a child with positive flow, whose arc goes to the cheapest
+    axis-1 ancestor (the cut subtree has no net mass, so no flow moves).
+    An atom with no such child is void: weight 0, or a weight of a few ulps
+    that the rounding of the other axis's weights leaves unserved
+    (`DiscreteMeasure` admits sums off by STORAGE_TOL).  Its children hang
+    from its cheapest axis-1 ancestor.  A mass placed below 0, which
+    weights down to -STORAGE_TOL allow, starts as flow 0.
     """
 
     def __init__(self, cols, cells, masses, c):
@@ -515,7 +519,6 @@ class _Tree:
                     parent[w], cell[w], flow[w] = v, j, max(mass, 0.0)
                     kids[v].add(w)
                     order.append(w)
-        void = [False] * n0 + [w <= 0.0 for w in cols.b[n0:].tolist()]
         c = c.reshape(n0, n1)
 
         def rehang(i, v):
@@ -533,21 +536,19 @@ class _Tree:
             parent[i], cell[i] = k, i * n1 + k - n0
 
         for v in order[1:]:
-            if v < n0:
+            if v < n0 or flow[v] > 0.0:
                 continue
-            if void[v]:
-                for i in list(kids[v]):
+            i = max(kids[v], key=flow.__getitem__, default=-1)
+            if i < 0 or flow[i] == 0.0:
+                for i in list(kids[v]):          # v becomes a void leaf
                     rehang(i, v)
-            elif flow[v] == 0.0:
-                i = max(kids[v], key=flow.__getitem__, default=-1)
-                if i < 0 or flow[i] == 0.0:
-                    continue                 # only with negative weights
-                up, j, f = parent[v], cell[i], flow[i]
-                rehang(i, v)
-                flow[i] = 0.0
-                kids[up].discard(v)
-                kids[i].add(v)
-                parent[v], cell[v], flow[v] = i, j, f
+                continue
+            up, j, f = parent[v], cell[i], flow[i]
+            rehang(i, v)
+            flow[i] = 0.0
+            kids[up].discard(v)
+            kids[i].add(v)
+            parent[v], cell[v], flow[v] = i, j, f
 
     @property
     def basis(self):
@@ -574,7 +575,7 @@ class _Tree:
         return np.array(excess[:root])
 
 
-def _tree_loop(cols, b, costs, tree, allow_enter, max_iter=_MAX_PIVOTS):
+def _tree_loop(cols, b, costs, tree, allow_enter):
     """Network simplex on a `_Tree` (min sense); returns (xB, y) as `_pivot_loop`.
 
     The potentials come from one traversal from the root (potential 0):
@@ -637,7 +638,7 @@ def _tree_loop(cols, b, costs, tree, allow_enter, max_iter=_MAX_PIVOTS):
         if not reduced.item(entering) < -REDUCED_COST_TOL:
             return tree.masses(b), y[:root]
         tree.iterations += 1
-        if tree.iterations > max_iter:
+        if tree.iterations > _MAX_PIVOTS:
             raise SolverError("simplex iteration cap exceeded")
         p, q = divmod(entering, n1)
         q += n0
