@@ -8,7 +8,7 @@ uniqueness tests, two-map assemblies.
 """
 
 from .costs import ConjugateTable, CostSpec, evaluate, legendre_conjugate
-from .instance import DiscreteInstance, prune_zero_atoms
+from .instance import DiscreteInstance
 from .lp import (
     MinimizingSet,
     Potentials,

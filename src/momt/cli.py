@@ -37,12 +37,12 @@ from .errors import (
     SolverError,
 )
 from .extremality import check_c_extreme, check_cyclical_monotonicity, fiber_report
-from .instance import DiscreteInstance, prune_zero_atoms
+from .instance import DiscreteInstance
 from .measure import DiscreteMeasure, Space
 from .reduction import IndexSubset, verify_reduction_optimality
 from .scenarios import ALIASES, SCENARIO_KINDS, ScenarioConfig, run_scenario
 from .serialize import dump_text, write_csv
-from .tolerances import GAP_TOL
+from .tolerances import GAP_TOL, STORAGE_TOL
 
 SCHEMA_VERSION = 1
 _EXIT_VALIDATION = 2
@@ -52,6 +52,22 @@ _EXIT_SOLVER = 3
 # ---------------------------------------------------------------------------
 # instance file handling
 # ---------------------------------------------------------------------------
+
+def _floats(value, field: str) -> np.ndarray:
+    """A numeric field of an instance file as a float array.
+
+    Anything else is a SchemaError naming the field: a value that is no
+    number or nested list of numbers, an integer beyond the float range,
+    NaN or infinity.
+    """
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(field, str(exc)) from exc
+    if not np.isfinite(array).all():
+        raise SchemaError(field, "values must be finite")
+    return array
+
 
 def load_instance_dict(doc: dict) -> DiscreteInstance:
     if not isinstance(doc, dict):
@@ -66,26 +82,26 @@ def load_instance_dict(doc: dict) -> DiscreteInstance:
         raise SchemaError("weights", "need one weight vector per space")
     spaces, measures = [], []
     for k, (sd, wd) in enumerate(zip(spaces_doc, weights_doc)):
-        if not isinstance(sd, dict):
+        if not isinstance(sd, dict) or "points" not in sd:
             raise SchemaError(f"spaces[{k}]", "need an object with 'points'")
+        points = _floats(sd["points"], f"spaces[{k}]")
         try:
-            points = np.asarray(sd["points"], dtype=float)
-            if not np.isfinite(points).all():
-                raise ValueError("points must be finite")
             space = Space(str(sd.get("name", f"S{k + 1}")), points)
-        except (KeyError, TypeError, ValueError, MomtError) as exc:
+        except MomtError as exc:
             raise SchemaError(f"spaces[{k}]", str(exc)) from exc
-        try:
-            w = np.asarray(wd, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"weights[{k}]", str(exc)) from exc
-        if not np.isfinite(w).all():
-            raise SchemaError(f"weights[{k}]", "weights must be finite")
+        w = _floats(wd, f"weights[{k}]")
         if w.ndim != 1 or w.shape[0] != space.size:
             raise SchemaError(f"weights[{k}]",
                               f"{w.shape} does not match {space.size} atoms")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise SchemaError(f"weights[{k}]", f"weights sum to {w.sum()!r}, expected 1")
+        with np.errstate(over="ignore"):       # huge weights sum to inf
+            total = w.sum()
+        if abs(total - 1.0) > 1e-12:
+            raise SchemaError(f"weights[{k}]", f"weights sum to {total!r}, expected 1")
+        if w.min() < 0.0:
+            # DiscreteMeasure admits weights down to -STORAGE_TOL; in a file
+            # such a weight is the rounding dust of an empty atom, and the
+            # simplex needs nonnegative marginals
+            w = np.where((w < 0.0) & (w >= -STORAGE_TOL), 0.0, w)
         try:
             measures.append(DiscreteMeasure(space, w))
         except MomtError as exc:
@@ -98,23 +114,26 @@ def load_instance_dict(doc: dict) -> DiscreteInstance:
     sense = doc.get("sense", "min")
     if sense not in ("min", "max"):
         raise SchemaError("sense", f"must be 'min' or 'max', got {sense!r}")
+    if "tensor" in cost_doc:
+        params = {"values": _floats(cost_doc["tensor"], "cost.tensor")}
+        kind = "tensor"
+    elif "builtin" in cost_doc:
+        kind = cost_doc["builtin"]
+        if kind not in BUILTIN_KINDS or kind == "tensor":
+            raise SchemaError("cost.builtin", f"unknown builtin {kind!r}")
+        params = {}
+        if kind == "gromovWasserstein":
+            for name in ("xi", "A"):
+                if name not in cost_doc:
+                    raise SchemaError(f"cost.{name}", "missing")
+                params[name] = _floats(cost_doc[name], f"cost.{name}")
+            if params["xi"].ndim:
+                raise SchemaError("cost.xi", "need a number")
+            params["xi"] = float(params["xi"])
+    else:
+        raise SchemaError("cost", "need 'builtin' or 'tensor'")
     try:
-        if "tensor" in cost_doc:
-            spec = CostSpec("tensor", sense,
-                            {"values": np.asarray(cost_doc["tensor"], dtype=float)})
-        elif "builtin" in cost_doc:
-            kind = cost_doc["builtin"]
-            if kind not in BUILTIN_KINDS or kind == "tensor":
-                raise SchemaError("cost.builtin", f"unknown builtin {kind!r}")
-            params = {}
-            if kind == "gromovWasserstein":
-                params = {"xi": float(cost_doc["xi"]),
-                          "A": np.asarray(cost_doc["A"], dtype=float)}
-            spec = CostSpec(kind, sense, params)
-        else:
-            raise SchemaError("cost", "need 'builtin' or 'tensor'")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("cost", str(exc)) from exc
+        spec = CostSpec(kind, sense, params)
     except MomtError as exc:
         raise SchemaError("cost", str(exc)) from exc
     dims = sorted({s.dim for s in spaces})
@@ -122,8 +141,7 @@ def load_instance_dict(doc: dict) -> DiscreteInstance:
         raise SchemaError("spaces", f"a builtin cost needs one point dimension, got {dims}")
     if spec.kind == "gromovWasserstein" and spec.params["A"].shape[0] != dims[0]:
         raise SchemaError("cost.A", f"need a {dims[0]}x{dims[0]} matrix")
-    instance = DiscreteInstance(spaces, measures, spec)
-    return prune_zero_atoms(instance)
+    return DiscreteInstance(spaces, measures, spec)
 
 
 def load_instance(path: str) -> DiscreteInstance:

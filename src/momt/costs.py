@@ -59,9 +59,14 @@ class CostSpec:
         if self.kind == "gromovWasserstein":
             A = np.asarray(self.params["A"], dtype=float)
             xi = float(self.params["xi"])
+            if not (np.isfinite(A).all() and np.isfinite(xi)):
+                raise NonFiniteCost("gromovWasserstein requires a finite xi and A")
             if xi == 0.0:
                 raise ZeroXi("gromovWasserstein requires xi != 0")
-            if A.ndim != 2 or A.shape[0] != A.shape[1] or abs(np.linalg.det(A)) <= 1e-10:
+            with np.errstate(all="ignore"):     # subnormal pivots divide by zero
+                singular = (A.ndim != 2 or A.shape[0] != A.shape[1]
+                            or abs(np.linalg.det(A)) <= 1e-10)
+            if singular:
                 raise SingularMatrix("gromovWasserstein requires an invertible matrix")
         if self.kind == "tensor":
             vals = np.asarray(self.params["values"], dtype=float)
@@ -232,13 +237,12 @@ def legendre_conjugate(table: ConjugateTable, s: np.ndarray) -> tuple[float, int
     return float(scores[idx]), idx
 
 
-def conjugate_argmax_ties(table: ConjugateTable, s: np.ndarray,
-                          tol: float = 1e-9) -> list[int]:
-    """All sample indices within tol of the conjugate maximum."""
+def conjugate_argmax_ties(table: ConjugateTable, s: np.ndarray) -> list[int]:
+    """All sample indices within 1e-9 of the conjugate maximum."""
     s = np.asarray(s, dtype=float)
     scores = table.samples @ s - table.values
     best = scores.max()
-    return [int(i) for i in np.flatnonzero(scores >= best - tol)]
+    return [int(i) for i in np.flatnonzero(scores >= best - 1e-9)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +293,12 @@ def _require_surplus(instance):
         )
 
 
-def dual_gradient_selection(instance, potentials, tie_tol: float = 1e-9):
+def dual_gradient_selection(instance, potentials):
     """Discrete gradient of the first potential at every first-axis atom.
 
     Returns (gradients, tie flags): the argmax selection sum_{k>=1} x_k over
     the active fiber of the dual inequality, flagged when geometrically
-    distinct selections tie within tolerance.
+    distinct selections tie within 1e-9.
     """
     _require_surplus(instance)
     grid = instance.cost_grid()
@@ -310,7 +314,7 @@ def dual_gradient_selection(instance, potentials, tie_tol: float = 1e-9):
     for a in range(n0):
         flat = slack[a].reshape(-1)
         best = flat.max()
-        winners = np.flatnonzero(flat >= best - tie_tol)
+        winners = np.flatnonzero(flat >= best - 1e-9)
         selections = []
         for w in winners:
             combo = np.unravel_index(w, comp_shape)
@@ -329,7 +333,7 @@ def dual_gradient_selection(instance, potentials, tie_tol: float = 1e-9):
 
 def gangbo_swiech_maps(instance, potentials,
                        conjugates: dict[int, ConjugateTable],
-                       plan=None, agree_tol: float = 1e-8):
+                       plan=None):
     """Transport-map images T_j(x_0) from dual data, with a support report.
 
     conjugates is `build_gs_conjugates` of the same potentials' pair
@@ -378,7 +382,7 @@ def gangbo_swiech_maps(instance, potentials,
                 fiber_pts = [pts[rest[j - 1]] for rest in fibers[a]]
                 d = min(np.linalg.norm(maps[j][a] - q) for q in fiber_pts)
                 dists.append(d)
-            hit = max(dists) <= agree_tol
+            hit = max(dists) <= 1e-8
             total += 1
             agree_all += hit
             if not tie_flags[a]:

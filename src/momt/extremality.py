@@ -36,12 +36,22 @@ class MonotonicityReport:
     checked_sampled: int = 0
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def _gain_thresholds(cost_grid, tol):
     """Per cycle size M: `tol` times the cost's span plus the rounding floor
-    of two M-term sums at the cost's magnitude."""
+    of two M-term sums at the cost's magnitude.  M * max|c| and the sum are
+    capped at the largest float, whose ulp is the largest there is, so a
+    threshold that does not overflow is not changed by the caps."""
     span = float(np.ptp(cost_grid))
     peak = float(np.abs(cost_grid).max())
-    return lambda M: tol * span + 2 * M * np.spacing(M * peak)
+
+    @np.errstate(over="ignore")
+    def threshold(M):
+        floor = 2 * M * np.spacing(np.minimum(M * peak, _FLOAT_MAX))
+        return np.minimum(tol * span + floor, _FLOAT_MAX)
+    return threshold
 
 
 def check_cyclical_monotonicity(support, cost_grid: np.ndarray, potentials: Potentials,
@@ -109,16 +119,6 @@ class OrderedPartition:
                 return i
         raise InvariantViolation(f"atom {atom} missing from the partition")
 
-    def validate_covering(self, atoms):
-        seen = set()
-        for blk in self.blocks:
-            if seen & blk:
-                raise InvariantViolation("partition blocks overlap")
-            seen |= blk
-        missing = {tuple(a) for a in atoms} - seen
-        if missing:
-            raise InvariantViolation(f"partition misses atoms {sorted(missing)[:3]}")
-
 
 @dataclass
 class FiberEntry:
@@ -132,17 +132,13 @@ class FiberReport:
     split: tuple[tuple[int, ...], tuple[int, ...]]
     per_atom: dict[tuple, FiberEntry]
 
-    def max_fiber_size(self) -> int:
-        return max((len(e.fiber) for e in self.per_atom.values()), default=0)
-
     def is_graph(self) -> bool:
         return all(len(e.fiber) == 1 for e in self.per_atom.values())
 
 
 def fiber_report(support, cost_grid: np.ndarray,
                  split: tuple[tuple[int, ...], tuple[int, ...]],
-                 partition: OrderedPartition | None = None,
-                 tie_tol: float = 1e-12) -> FiberReport:
+                 partition: OrderedPartition | None = None) -> FiberReport:
     """Fibers and cost-argmax sets of a support under a first/second axis split."""
     first, second = tuple(split[0]), tuple(split[1])
     if sorted(first + second) != list(range(cost_grid.ndim)):
@@ -173,7 +169,7 @@ def fiber_report(support, cost_grid: np.ndarray,
 
         values = [cost_of(b) for b in pool]
         best = max(values)
-        argmax = [b for b, v in zip(pool, values) if v >= best - tie_tol]
+        argmax = [b for b, v in zip(pool, values) if v >= best - 1e-12]
         per_atom[a] = FiberEntry(fib, argmax, iota)
     return FiberReport((first, second), per_atom)
 
@@ -213,46 +209,36 @@ def check_c_extreme(report: FiberReport) -> ExtremeReport:
 
 @dataclass
 class MapDecomposition:
-    maps: list[dict[int, tuple]]     # per map: first-axis atom -> complement index
-    weights: list[np.ndarray]        # alpha_k over first-axis atoms
+    maps: list[dict[int, tuple]]     # per map: axis-0 atom -> complement index
+    weights: list[np.ndarray]        # alpha_k over axis-0 atoms
     max_fiber: int
 
-    def recombine(self, mu_weights: np.ndarray, arities: tuple[int, ...],
-                  first_axis: int = 0) -> Coupling:
+    def recombine(self, mu_weights: np.ndarray, arities: tuple[int, ...]) -> Coupling:
         entries: dict[tuple, float] = {}
         for T, alpha in zip(self.maps, self.weights):
             for x, rest in T.items():
                 w = alpha[x] * mu_weights[x]
                 if w <= MASS_FLOOR:
                     continue
-                idx = rest[:first_axis] + (x,) + rest[first_axis:]
+                idx = (x,) + rest
                 entries[idx] = entries.get(idx, 0.0) + w
         return Coupling(arities, entries)
 
 
-@dataclass
-class NotDecomposable:
-    max_fiber: int
-
-
-def detect_map_decomposition(plan: Coupling, first_axis: int = 0,
-                             max_maps: int | None = None):
-    """Write a coupling as weighted graphs over one axis.
+def detect_map_decomposition(plan: Coupling) -> MapDecomposition:
+    """Write a coupling as weighted graphs over axis 0.
 
     Finitely this always succeeds; maps are ordered by decreasing conditional
     weight (ties by complement index) and padded with zero weight where an
-    atom's fiber is shorter than the longest one.  NotDecomposable is
-    returned only when the longest fiber exceeds the caller's cap.
+    atom's fiber is shorter than the longest one.
     """
-    marg = plan.axis_marginal(first_axis)
-    fibers = plan.fibers(first_axis)
+    marg = plan.axis_marginal(0)
+    fibers = plan.fibers(0)
     ranked: dict[int, list[tuple[tuple, float]]] = {}
     for x, fib in fibers.items():
         items = sorted(fib.items(), key=lambda kv: (-kv[1], kv[0]))
         ranked[x] = items
     m = max((len(v) for v in ranked.values()), default=0)
-    if max_maps is not None and m > max_maps:
-        return NotDecomposable(m)
     maps = []
     weights = []
     for k in range(m):
@@ -275,7 +261,7 @@ def detect_map_decomposition(plan: Coupling, first_axis: int = 0,
 # ---------------------------------------------------------------------------
 
 def gw_twist_count(x0: np.ndarray, y0: np.ndarray, A: np.ndarray, xi: float,
-                   candidates: np.ndarray, tol: float = 1e-8) -> int:
+                   candidates: np.ndarray) -> int:
     """Count candidate points solving the cross-difference fixed-point equation
 
         y = (2/xi) (A^T)^{-1} x0 (|y0|^2 - |y|^2) + y0.
@@ -295,7 +281,7 @@ def gw_twist_count(x0: np.ndarray, y0: np.ndarray, A: np.ndarray, xi: float,
     resid = candidates - y0[None, :] - np.outer(
         (y0 @ y0) - (candidates**2).sum(1), v
     )
-    hits = np.flatnonzero(np.linalg.norm(resid, axis=1) <= tol)
+    hits = np.flatnonzero(np.linalg.norm(resid, axis=1) <= 1e-8)
     # count geometrically distinct solutions
     kept: list[np.ndarray] = []
     for i in hits:

@@ -10,7 +10,6 @@ import numpy as np
 from .costs import CostSpec, cost_array
 from .errors import InvariantViolation
 from .measure import DiscreteMeasure, Space
-from .tolerances import MASS_FLOOR
 
 
 @dataclass
@@ -47,26 +46,3 @@ class DiscreteInstance:
     def grid_size(self) -> int:
         return math.prod(self.arities)
 
-
-def prune_zero_atoms(instance: DiscreteInstance) -> DiscreteInstance:
-    """Drop atoms of zero weight; slices tensor costs consistently.
-
-    Positive-mass atoms are the discrete stand-in for full-measure sets, so
-    load-time pruning keeps every later quantifier exact.
-    """
-    keep = [np.flatnonzero(m.weights > MASS_FLOOR) for m in instance.measures]
-    if all(len(k) == s.size for k, s in zip(keep, instance.spaces)):
-        return instance
-    spaces = [
-        Space(s.name, s.points[k]) for s, k in zip(instance.spaces, keep)
-    ]
-    measures = [
-        DiscreteMeasure(sp, m.weights[k] / m.weights[k].sum())
-        for sp, m, k in zip(spaces, instance.measures, keep)
-    ]
-    cost = instance.cost
-    if cost.kind == "tensor":
-        vals = np.asarray(cost.params["values"], dtype=float)
-        vals = vals[np.ix_(*keep)]
-        cost = CostSpec("tensor", cost.sense, {"values": vals})
-    return DiscreteInstance(spaces, measures, cost)

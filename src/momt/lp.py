@@ -76,7 +76,8 @@ from .tolerances import (
     cost_scaled,
 )
 
-DEFAULT_GRID_CAP = 200_000
+GRID_CAP = 200_000
+MAX_BASES = 200_000     # lexicographically feasible bases the oracle visits
 ORACLE_GRID_CAP = 81
 ORACLE_ATOM_CAP = 12
 
@@ -104,13 +105,9 @@ class PolytopeModel:
     stay implicit (`_TransportColumns`).
     """
 
-    def __init__(self, arities, constraints, grid_cap=DEFAULT_GRID_CAP):
+    def __init__(self, arities, constraints):
         self.arities = tuple(int(n) for n in arities)
         self.n_cols = int(np.prod(self.arities))
-        if self.n_cols > grid_cap:
-            raise InstanceTooLarge(
-                f"grid has {self.n_cols} cells, cap is {grid_cap}"
-            )
         if self.n_cols > 20_000:
             raise InstanceTooLarge(
                 "general constraint systems are limited to 20000 grid cells"
@@ -144,15 +141,15 @@ class PolytopeModel:
         self.A_full = A_full
         self.b_full = b_full
 
-    def check_feasible(self, plan: Coupling, tol: float = 1e-8):
+    def check_feasible(self, plan: Coupling):
         """Raise MarginalMismatch if the plan violates any constraint block."""
-        _check_marginals(plan, self.constraints, tol)
+        _check_marginals(plan, self.constraints)
 
 
-def _check_marginals(plan, constraints, tol=1e-8):
+def _check_marginals(plan, constraints):
     for con in constraints:
         dev = float(np.abs(plan.marginal_on(con.axes) - con.target).max())
-        if dev > tol:
+        if dev > 1e-8:
             raise MarginalMismatch(con.axes, dev)
 
 
@@ -176,12 +173,11 @@ def _spanning_rows(A, b=None) -> list[int]:
     return keep
 
 
-def standard_model(measures: list[DiscreteMeasure],
-                   grid_cap=DEFAULT_GRID_CAP) -> PolytopeModel:
+def standard_model(measures: list[DiscreteMeasure]) -> PolytopeModel:
     """Dense model of the standard problem (the oracle's and the tests')."""
     arities = tuple(m.size for m in measures)
     cons = [MarginalConstraint((k,), m.weights) for k, m in enumerate(measures)]
-    return PolytopeModel(arities, cons, grid_cap=grid_cap)
+    return PolytopeModel(arities, cons)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +315,7 @@ def _exchange(state, p, entering, d):
     state.updates += 1
 
 
-def _pivot_loop(cols, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
+def _pivot_loop(cols, b, costs, state, allow_enter):
     """Pivot until no allowed column prices out (min sense); return (xB, y).
 
     Dantzig pricing enters the most negative reduced cost and leaves on the
@@ -396,7 +392,7 @@ def _pivot_loop(cols, b, costs, state, allow_enter, max_iter=_MAX_PIVOTS):
             c_open[rejected] = costs[rejected]
             rejected.clear()
         state.iterations += 1
-        if state.iterations > max_iter:
+        if state.iterations > _MAX_PIVOTS:
             raise SolverError("simplex iteration cap exceeded")
         stalled = stalled + 1 if rmin <= RATIO_TOL else 0
         if not stalled:
@@ -420,13 +416,12 @@ def _basic_solution(xB, state, n):
     return x
 
 
-def _feasible_basis(A, b, max_iter=_MAX_PIVOTS):
+def _feasible_basis(A, b):
     """Phase 1 from an all-artificial basis, then pivot the artificials out."""
     m, n = A.shape
     state = _SimplexState(basis=[n + i for i in range(m)], inverse=np.eye(m))
     phase1 = np.concatenate([np.zeros(n), np.ones(m)])
-    xB, _ = _pivot_loop(_DenseColumns(A), b, phase1, state,
-                        np.ones(n, dtype=bool), max_iter)
+    xB, _ = _pivot_loop(_DenseColumns(A), b, phase1, state, np.ones(n, dtype=bool))
     infeas = sum(xB[p] for p in range(m) if state.basis[p] >= n)
     if infeas > 1e-9:
         raise SolverError(f"phase-1 infeasibility {infeas:.3e}")
@@ -445,7 +440,7 @@ def _feasible_basis(A, b, max_iter=_MAX_PIVOTS):
     return state
 
 
-def _simplex(A, b, costs, max_iter=_MAX_PIVOTS, basis=None):
+def _simplex(A, b, costs, basis=None):
     """Revised simplex; returns (x over columns, duals, pivots).
 
     Without a starting `basis`, phase 1 finds one from artificials.
@@ -457,11 +452,11 @@ def _simplex(A, b, costs, max_iter=_MAX_PIVOTS, basis=None):
     A[neg] *= -1.0
     b[neg] *= -1.0
     if basis is None:
-        state = _feasible_basis(A, b, max_iter)
+        state = _feasible_basis(A, b)
     else:
         state = _SimplexState(basis=list(basis))
     xB, y = _pivot_loop(_DenseColumns(A), b, np.asarray(costs, float), state,
-                        np.ones(n, dtype=bool), max_iter)
+                        np.ones(n, dtype=bool))
     x = _basic_solution(xB, state, n)
     return x, y * np.where(neg, -1.0, 1.0), state.iterations
 
@@ -739,13 +734,12 @@ class MinimizingSet:
         return tuple(idx) in self.indices
 
 
-def minimizing_set(instance: DiscreteInstance, potentials: Potentials,
-                   tolerance: float = ACTIVE_TOL) -> MinimizingSet:
+def minimizing_set(instance: DiscreteInstance, potentials: Potentials) -> MinimizingSet:
     slack = np.abs(instance.cost_grid() - potentials.sum_grid(instance.arities))
     idx = frozenset(
-        tuple(int(i) for i in t) for t in np.argwhere(slack <= tolerance)
+        tuple(int(i) for i in t) for t in np.argwhere(slack <= ACTIVE_TOL)
     )
-    return MinimizingSet(idx, tolerance)
+    return MinimizingSet(idx)
 
 
 @dataclass
@@ -759,9 +753,6 @@ class SolveResult:
     # another optimal vertex (flattened grid, on active cells only, as the
     # face LP of `solve` enters no other); None proves the plan unique
     second_vertex: np.ndarray | None = None
-
-    def __iter__(self):
-        return iter((self.plan, self.potentials, self.value))
 
 
 def _coupling_from_x(x: np.ndarray, arities: tuple[int, ...]) -> Coupling:
@@ -854,7 +845,7 @@ def _strictly_complementary(cols, b, c, x, y, state, loop):
         return y + eps * psi, second
 
 
-def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> SolveResult:
+def solve(instance: DiscreteInstance) -> SolveResult:
     """Solve the transport LP exactly.
 
     Returns a basic optimal plan (a polytope vertex), canonical-gauge dual
@@ -867,8 +858,8 @@ def solve(instance: DiscreteInstance, grid_cap: int = DEFAULT_GRID_CAP) -> Solve
     the union of all optimal supports.
     """
     n_cells = instance.grid_size()
-    if n_cells > grid_cap:
-        raise InstanceTooLarge(f"grid has {n_cells} cells, cap is {grid_cap}")
+    if n_cells > GRID_CAP:
+        raise InstanceTooLarge(f"grid has {n_cells} cells, cap is {GRID_CAP}")
     grid = instance.cost_grid()
     if not np.isfinite(grid).all():
         raise NonFiniteCost("cost grid contains non-finite values")
@@ -931,27 +922,24 @@ def solve_model(model: PolytopeModel, cost_vector: np.ndarray,
 # vertex test
 # ---------------------------------------------------------------------------
 
-def is_vertex(plan: Coupling, constraints, tol: float = VERTEX_PIVOT_TOL) -> bool:
+def is_vertex(plan: Coupling, constraints) -> bool:
     """True iff the constraint columns active on the support are independent.
 
-    `constraints` is a PolytopeModel, a list of MarginalConstraint, or the
-    list of marginals of the standard problem, whose columns stay implicit.
+    `constraints` is a PolytopeModel or the list of marginals of the
+    standard problem, whose columns stay implicit.
     """
-    if not isinstance(constraints, PolytopeModel) and constraints \
-            and isinstance(constraints[0], DiscreteMeasure):
+    if isinstance(constraints, PolytopeModel):
+        constraints.check_feasible(plan)
+        columns = _DenseColumns(constraints.A)
+    else:
         _check_marginals(plan, [MarginalConstraint((k,), m.weights)
                                 for k, m in enumerate(constraints)])
         columns = _TransportColumns(constraints)
-    else:
-        model = (constraints if isinstance(constraints, PolytopeModel)
-                 else PolytopeModel(plan.arities, constraints))
-        model.check_feasible(plan)
-        columns = _DenseColumns(model.A)
     support = plan.support()
     if not support:
         return True
     cols = [int(np.ravel_multi_index(idx, plan.arities)) for idx in support]
-    rank = np.linalg.matrix_rank(columns.matrix(cols), tol=tol)
+    rank = np.linalg.matrix_rank(columns.matrix(cols), tol=VERTEX_PIVOT_TOL)
     return int(rank) == len(cols)
 
 
@@ -959,9 +947,9 @@ def is_vertex(plan: Coupling, constraints, tol: float = VERTEX_PIVOT_TOL) -> boo
 # exhaustive vertex enumeration (the ground-truth oracle)
 # ---------------------------------------------------------------------------
 
-def _vertex_key(x, tol_digits=11):
+def _vertex_key(x):
     cols = np.nonzero(x > 1e-10)[0]
-    return tuple(zip(cols.tolist(), [round(v, tol_digits) for v in x[cols].tolist()]))
+    return tuple(zip(cols.tolist(), [round(v, 11) for v in x[cols].tolist()]))
 
 
 def _presolve_zero_cells(A, b):
@@ -1019,7 +1007,7 @@ def _lex_leaving(tied, D, W):
     return leaving
 
 
-def enumerate_vertices(model: PolytopeModel, max_bases: int = 200_000):
+def enumerate_vertices(model: PolytopeModel):
     """All basic feasible solutions, found by pivoting from a start basis.
 
     The search visits only lexicographically feasible bases: those of the
@@ -1031,7 +1019,7 @@ def enumerate_vertices(model: PolytopeModel, max_bases: int = 200_000):
     perturbation argument of Avis-Fukuda reverse search).  So a degenerate
     vertex is reached through some of its bases, not all of them.  The
     ratio tests of all entering columns of a basis run as one array pass.
-    Bases are kept as bitmasks of their columns; more than `max_bases`
+    Bases are kept as bitmasks of their columns; more than MAX_BASES
     lexicographically feasible bases raise InstanceTooLarge.  Vertices come
     out sorted by `_vertex_key`, each solved on the first basis that
     reaches it, columns in ascending order.
@@ -1044,9 +1032,9 @@ def enumerate_vertices(model: PolytopeModel, max_bases: int = 200_000):
     queue = list(seen_bases)
     vertices: dict[tuple, np.ndarray] = {}
     while queue:
-        if len(seen_bases) > max_bases:
+        if len(seen_bases) > MAX_BASES:
             raise InstanceTooLarge(
-                f"basis graph exceeded {max_bases} bases during enumeration"
+                f"basis graph exceeded {MAX_BASES} bases during enumeration"
             )
         key = queue.pop()
         basis = [col for col in range(n) if key & bits[col]]
@@ -1077,15 +1065,14 @@ def enumerate_vertices(model: PolytopeModel, max_bases: int = 200_000):
     return [vertices[k] for k in sorted(vertices)]
 
 
-def oracle_enumerate(instance: DiscreteInstance,
-                     max_bases: int = 200_000) -> list[tuple[Coupling, float]]:
+def oracle_enumerate(instance: DiscreteInstance) -> list[tuple[Coupling, float]]:
     """Exhaustively enumerate polytope vertices of a small instance.
 
     Hard caps keep this honest: at most 81 grid cells and 12 atoms in total.
-    `max_bases` bounds the lexicographically feasible bases the search
+    MAX_BASES bounds the lexicographically feasible bases the search
     discovers (`enumerate_vertices`); past it InstanceTooLarge is raised.
     A vertex with generic weights has one such basis, so an instance with
-    more than `max_bases` vertices raises: random-weight 6x6 tensor,
+    more than MAX_BASES vertices raises: random-weight 6x6 tensor,
     3x3x3x3 surplus and 4x4x4 tensor instances do, after a few seconds.
     Degenerate weights give fewer vertices; the 5x5 uniform-weight
     instance has 120 vertices and 15 000 such bases, and finishes.
@@ -1100,7 +1087,7 @@ def oracle_enumerate(instance: DiscreteInstance,
     grid = instance.cost_grid().reshape(-1)
     return [
         (_coupling_from_x(x, arities), float(grid @ x))
-        for x in enumerate_vertices(model, max_bases=max_bases)
+        for x in enumerate_vertices(model)
     ]
 
 

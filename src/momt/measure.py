@@ -156,19 +156,6 @@ class Coupling:
             else [()] * int(mask)
         return Coupling(array.shape, dict(zip(keys, array[mask].tolist())))
 
-    @staticmethod
-    def from_map(mu: DiscreteMeasure, images: dict[int, tuple[int, ...]],
-                 arities: tuple[int, ...]) -> "Coupling":
-        """Graph coupling (id x T)#mu: all of atom i's mass sits at (i, T(i))."""
-        entries = {}
-        for i, w in enumerate(mu.weights):
-            if w <= MASS_FLOOR:
-                continue
-            if i not in images:
-                raise MapDomainGap(i)
-            entries[(i, *images[i])] = float(w)
-        return Coupling(arities, entries)
-
     # -- views -------------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:

@@ -156,13 +156,13 @@ def verify_reduction_optimality(instance: DiscreteInstance, plan: Coupling,
                            gap <= cost_scaled(GAP_TOL, instance.cost_grid()), red)
 
 
-def reduce_chain(instance: DiscreteInstance, potentials: Potentials,
-                 nesting_tol: float = 1e-10) -> list[ReducedProblem]:
+def reduce_chain(instance: DiscreteInstance,
+                 potentials: Potentials) -> list[ReducedProblem]:
     """Reduced problems for the prefixes {0..j-1}, j = 2..N-1.
 
     Verifies the nesting identity: each table equals the next one (or the
     full cost, at the end of the chain) with the following axis's potential
-    subtracted and that axis optimized out.
+    subtracted and that axis optimized out, within 1e-10.
     """
     chain = [reduce(instance, potentials, tuple(range(j)))
              for j in range(2, instance.n_axes)]
@@ -175,7 +175,7 @@ def reduce_chain(instance: DiscreteInstance, potentials: Potentials,
         shifted = nxt - phi.reshape(shape)
         folded = shifted.max(axis=j) if instance.sense == "max" else shifted.min(axis=j)
         dev = float(np.abs(folded - red.reduced_cost).max())
-        if dev > nesting_tol:
+        if dev > 1e-10:
             raise InvariantViolation(
                 f"nesting identity fails at prefix length {j}: deviation {dev:.3e}"
             )

@@ -106,13 +106,13 @@ class NormalField:
         object.__setattr__(self, "vectors", v)
 
 
-def _round(x, nd=15):
+def _round(x):
     """Round a report float to 15 decimal places before 17-digit output.
 
     This zeroes solver dust below 5e-16 (a 1e-17 gap reads 0.0, not a
     17-digit residue), and every scenario report's bytes depend on it.
     """
-    return float(np.round(float(x), nd))
+    return float(np.round(float(x), 15))
 
 
 def _plain(obj):
@@ -237,7 +237,7 @@ def run_sphere_reflection(config: ScenarioConfig) -> dict:
 
     mixture = res.plan.mix(reflected, 0.5)
     mix_value = sum(grid[idx] * m for idx, m in mixture.entries.items())
-    mix_dec = detect_map_decomposition(mixture, 0)
+    mix_dec = detect_map_decomposition(mixture)
     cert = lp.uniqueness_certificate(inst, res)
 
     checks = {
@@ -657,7 +657,7 @@ def gen_gromov_wasserstein(config: ScenarioConfig):
 def run_gromov_wasserstein(config: ScenarioConfig) -> dict:
     inst = gen_gromov_wasserstein(config)
     res = lp.solve(inst)
-    dec = detect_map_decomposition(res.plan, 0)
+    dec = detect_map_decomposition(res.plan)
 
     rng = np.random.default_rng(config.seed + 104729)
     trials = int(config.extras.get("twist_trials", 20))
@@ -747,8 +747,8 @@ def gen_two_map_demo(config: ScenarioConfig):
         cost[i] += (~allowed_y[i])[:, None].astype(float)
         cost[i] += (~allowed_z[i])[None, :].astype(float)
 
-    # zero-weight atoms appear when alpha or beta hits {0, 1}; drop them the
-    # same way instance loading would
+    # zero-weight atoms appear when alpha or beta hits {0, 1}; drop them here,
+    # because the report's maps, n_y and n_z count only atoms that carry mass
     keep_y = nu > MASS_FLOOR
     keep_z = gam > MASS_FLOOR
     y_index = -np.ones(2 * n, dtype=int)

@@ -115,11 +115,11 @@ def mixed_assembly(lower: TwoMapAssembly, upper: TwoMapAssembly,
                           theta=theta)
 
 
-def unique_condition(alpha, beta, tol: float = STORAGE_TOL):
+def unique_condition(alpha, beta):
     """Window collapse test: per atom, alpha or beta sits at {0, 1}."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    at_edge = lambda v: (np.abs(v) <= tol) | (np.abs(v - 1.0) <= tol)
+    at_edge = lambda v: (np.abs(v) <= STORAGE_TOL) | (np.abs(v - 1.0) <= STORAGE_TOL)
     per_atom = at_edge(alpha) | at_edge(beta)
     return per_atom, bool(per_atom.all())
 

@@ -10,6 +10,7 @@ import momt
 from momt.cli import _worker_count, instance_to_dict, load_instance_dict, main
 from momt.errors import SchemaError
 from momt.serialize import dump_text, format_float
+from momt.tolerances import MASS_FLOOR
 
 TWO_BY_TWO = {
     "version": 1,
@@ -442,3 +443,139 @@ def test_float_serialization_round_trips():
     rng = np.random.default_rng(5)
     for x in [0.1, 1 / 3, 1e-8, 123456.789, *rng.standard_normal(200).tolist()]:
         assert float(format_float(float(x))) == float(x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_monotonicity_threshold_stays_finite_on_costs_near_the_float_maximum(tmp_path,
+                                                                           capsys):
+    # M * max|c| overflows at +-8e307, so the rounding floor of the
+    # threshold read NaN and the report could not be written
+    values = (np.indices((2, 2, 2)).sum(axis=0) % 2 * 2.0 - 1.0) * 8e307
+    doc = {"version": 1,
+           "spaces": [{"name": f"A{k}", "points": [[0.0], [1.0]]} for k in range(3)],
+           "weights": [[0.5, 0.5]] * 3,
+           "cost": {"tensor": values.tolist()},
+           "sense": "min"}
+    assert main(["diagnose", _write(tmp_path, doc)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    certs = json.loads(captured.out)["certificates"]
+    assert certs["cyclically_monotone"] is True
+    assert 0.0 <= certs["monotonicity_bound"] <= certs["monotonicity_threshold"] < np.inf
+
+
+_GW = {"version": 1,
+       "spaces": [{"name": "X", "points": [[0.0, 0.0], [1.0, 0.0]]},
+                  {"name": "Y", "points": [[0.0, 1.0], [1.0, 1.0]]}],
+       "weights": [[0.5, 0.5], [0.5, 0.5]],
+       "cost": {"builtin": "gromovWasserstein", "xi": 1.0,
+                "A": [[1.0, 0.0], [0.0, 2.0]]},
+       "sense": "max"}
+
+
+def _with(doc, path, value):
+    """A deep copy of doc with the entry at path (keys and indices) replaced."""
+    doc = json.loads(json.dumps(doc))
+    at = doc
+    for key in path[:-1]:
+        at = at[key]
+    at[path[-1]] = value
+    return doc
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [10**400, -10**400, float("nan"), float("inf")],
+                         ids=["huge", "-huge", "nan", "inf"])
+@pytest.mark.parametrize("base,path,field", [
+    (THREE_MARGINAL, ("spaces", 1, "points", 0, 1), "spaces[1]"),
+    (THREE_MARGINAL, ("weights", 2, 0), "weights[2]"),
+    (_with(THREE_MARGINAL, ("cost",), {"tensor": np.ones((3, 3, 3)).tolist()}),
+     ("cost", "tensor", 1, 2, 0), "cost.tensor"),
+    (_GW, ("cost", "xi"), "cost.xi"),
+    (_GW, ("cost", "A", 1, 1), "cost.A"),
+], ids=["points", "weights", "tensor", "xi", "A"])
+@pytest.mark.parametrize("command", [["solve"], ["diagnose"], ["reduce", "--subset", "1,2"]],
+                         ids=["solve", "diagnose", "reduce"])
+def test_numeric_fields_beyond_the_floats_exit_2(tmp_path, capsys, base, path, field,
+                                                 value, command):
+    # an integer too large for a float, NaN or infinity in any numeric field
+    path_ = _write(tmp_path, _with(base, path, value))
+    assert main([command[0], path_, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_weight_atoms_keep_the_file_indices(tmp_path, capsys):
+    doc = {"version": 1,
+           "spaces": [{"name": "X", "points": [[0.0], [1.0], [2.0]]},
+                      {"name": "Y", "points": [[0.0], [1.0], [2.0]]}],
+           "weights": [[0.0, 0.5, 0.5], [0.5, 0.5, 0.0]],
+           "cost": {"tensor": [[0.0, 0.0, 0.0], [0.0, 1.0, 5.0], [2.0, 0.0, 5.0]]},
+           "sense": "min"}
+    assert main(["solve", _write(tmp_path, doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    # X1 and Y3 weigh nothing: the plan moves X2 to Y1 and X3 to Y2
+    assert out["support"] == [{"index": [2, 1], "mass": 0.5},
+                              {"index": [3, 2], "mass": 0.5}]
+    assert out["value"] == 0.0
+    assert [len(v) for v in out["potentials"]] == [3, 3]
+
+
+def _pruned(doc):
+    """The document with every atom of weight <= MASS_FLOOR removed."""
+    keep = [[i for i, w in enumerate(ws) if w > MASS_FLOOR] for ws in doc["weights"]]
+    out = json.loads(json.dumps(doc))
+    for k, idx in enumerate(keep):
+        out["spaces"][k]["points"] = [doc["spaces"][k]["points"][i] for i in idx]
+        w = np.array([doc["weights"][k][i] for i in idx])
+        out["weights"][k] = (w / w.sum()).tolist()
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_axes", [2, 3, 4])
+def test_tiny_weights_pass_and_match_the_instance_without_them(tmp_path, capsys, n_axes):
+    # weights of +-1e-13 (within STORAGE_TOL of 0) and at or below
+    # MASS_FLOOR: every command succeeds, the results are indexed like the
+    # file, and the optimum and certificates are those of the instance
+    # without those atoms
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(2, 5, n_axes)
+        weights = []
+        for n in sizes:
+            w = rng.dirichlet(np.ones(n))
+            at = rng.integers(n)
+            w[at] = 0.0
+            w /= w.sum()
+            tiny = (1e-13, -1e-13, 1e-16, 0.0)[(seed + len(weights)) % 4]
+            w[at], w[(at + 1) % n] = tiny, w[(at + 1) % n] - tiny
+            weights.append(w.tolist())
+        doc = {"version": 1,
+               "spaces": [{"name": f"X{k}", "points": rng.normal(size=(n, 2)).tolist()}
+                          for k, n in enumerate(sizes)],
+               "weights": weights,
+               "cost": {"builtin": ("surplus", "attractive")[seed % 2]},
+               "sense": ("max", "min")[seed % 2]}
+        reports = []
+        for d in (doc, _pruned(doc)):
+            assert main(["diagnose", _write(tmp_path, d)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        full, pruned = reports
+        assert [len(v) for v in full["potentials"]] == list(sizes)
+        for k, w in enumerate(weights):
+            marginal = np.zeros(len(w))
+            for row in full["support"]:
+                marginal[row["index"][k] - 1] += row["mass"]
+            assert np.abs(marginal - np.maximum(w, 0.0)).max() <= 1e-12
+        assert full["value"] == pytest.approx(pruned["value"], rel=1e-9, abs=1e-12)
+        assert full["certificates"]["cyclically_monotone"] is True
+        assert full["certificates"]["is_vertex"] is True
+        assert full["certificates"]["c_extreme"] == pruned["certificates"]["c_extreme"]
+        assert (full["certificates"]["uniqueness"]["status"]
+                == pruned["certificates"]["uniqueness"]["status"])
+        if n_axes > 2:
+            assert main(["reduce", _write(tmp_path, doc), "--subset", "1,2"]) == 0
+            capsys.readouterr()

@@ -58,6 +58,12 @@ def test_gw_spec_validation():
         CostSpec("gromovWasserstein", "max", {"xi": 0.0, "A": np.eye(2)})
     with pytest.raises(SingularMatrix):
         CostSpec("gromovWasserstein", "max", {"xi": 1.0, "A": np.zeros((2, 2))})
+    for params in ({"xi": float("nan"), "A": np.eye(2)},
+                   {"xi": float("inf"), "A": np.eye(2)},
+                   {"xi": 1.0, "A": np.array([[1.0, 0.0], [0.0, np.nan]])},
+                   {"xi": 1.0, "A": np.array([[np.inf, 0.0], [0.0, 1.0]])}):
+        with pytest.raises(NonFiniteCost):
+            CostSpec("gromovWasserstein", "max", params)
 
 
 def test_gw_evaluation_formula_and_negated_objective():

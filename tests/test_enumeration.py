@@ -96,12 +96,14 @@ def test_two_map_polytope_vertices_match_every_basis_search(monkeypatch, n):
         assert_same_vertices(model)
 
 
-def test_uniform_square_visits_few_bases():
+def test_uniform_square_visits_few_bases(monkeypatch):
     # 24 vertices: all 3 072 feasible bases, but 384 lexicographic ones
     model = lp.standard_model(tensor_instance(np.zeros((4, 4))).measures)
-    assert len(lp.enumerate_vertices(model, max_bases=384)) == 24
+    monkeypatch.setattr(lp, "MAX_BASES", 384)
+    assert len(lp.enumerate_vertices(model)) == 24
+    monkeypatch.setattr(lp, "MAX_BASES", 383)
     with pytest.raises(InstanceTooLarge):
-        lp.enumerate_vertices(model, max_bases=383)
+        lp.enumerate_vertices(model)
 
 
 def test_uniform_five_by_five_fits_the_oracle_caps():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from momt import lp
 from momt.errors import SingularMatrix, ZeroXi
 from momt.extremality import (
-    NotDecomposable,
     OrderedPartition,
     _gain_thresholds,
     check_c_extreme,
@@ -274,6 +273,26 @@ def test_thirteen_cell_support_fails_the_proof_in_both_senses():
         assert not report.passed
 
 
+def test_gain_thresholds_are_capped_only_where_they_overflow():
+    # below the float maximum the threshold is tol * span plus the rounding
+    # floor 2 M spacing(M max|c|), bit for bit; beyond it, it stays finite
+    rng = np.random.default_rng(7)
+    sizes = np.arange(2, 25)
+    for scale in (1e-300, 1.0, 1e9, 1e300):
+        grid = rng.uniform(-1.0, 1.0, (3, 4, 2)) * scale
+        span, peak = float(np.ptp(grid)), float(np.abs(grid).max())
+        for tol in (0.0, 1e-9, 0.5):
+            expected = tol * span + 2 * sizes * np.spacing(sizes * peak)
+            assert _gain_thresholds(grid, tol)(sizes).tobytes() == expected.tobytes()
+            assert float(_gain_thresholds(grid, tol)(2)) == float(expected[0])
+    grid = np.array([[8e307, -8e307], [-8e307, 8e307]])
+    with np.errstate(all="raise"):
+        limits = _gain_thresholds(grid, 1e-9)(sizes)
+        assert np.isfinite(limits).all() and (limits >= 1.6e299).all()
+        # tol * span alone overflows: the cap is the largest float
+        assert (_gain_thresholds(grid, 1e10)(sizes) == np.finfo(float).max).all()
+
+
 def test_report_counts_stay_zero():
     # the benchmark's layer trace reads checked_exhaustive + checked_sampled
     grid = np.zeros((3, 3, 3, 3))
@@ -409,7 +428,7 @@ def test_c_extreme_pass_implies_unique_certificate():
 
 def test_graph_coupling_decomposes_to_one_map():
     plan = Coupling((3, 3), {(0, 1): 0.2, (1, 2): 0.5, (2, 0): 0.3})
-    dec = detect_map_decomposition(plan, 0)
+    dec = detect_map_decomposition(plan)
     assert dec.max_fiber == 1
     assert len(dec.maps) == 1
     assert np.allclose(dec.weights[0], 1.0)
@@ -419,7 +438,7 @@ def test_two_map_mixture_decomposition():
     w = np.array([0.5, 0.5])
     entries = {(0, 1): 0.25, (0, 0): 0.25, (1, 0): 0.25, (1, 1): 0.25}
     plan = Coupling((2, 2), entries)
-    dec = detect_map_decomposition(plan, 0)
+    dec = detect_map_decomposition(plan)
     assert dec.max_fiber == 2
     assert np.allclose(dec.weights[0], 0.5)
     rebuilt = dec.recombine(w, plan.arities)
@@ -435,25 +454,17 @@ def test_decomposition_roundtrip_random():
             dense[0, 0] = 1.0
         dense = dense / dense.sum()
         plan = Coupling.from_dense(dense)
-        dec = detect_map_decomposition(plan, 0)
+        dec = detect_map_decomposition(plan)
         mu = plan.axis_marginal(0)
         rebuilt = dec.recombine(mu, plan.arities)
         assert rebuilt.total_variation(plan) < 1e-12
-
-
-def test_decomposition_cap():
-    dense = np.full((1, 3), 1 / 3)
-    plan = Coupling.from_dense(dense)
-    out = detect_map_decomposition(plan, 0, max_maps=2)
-    assert isinstance(out, NotDecomposable)
-    assert out.max_fiber == 3
 
 
 def test_singleton_fibers_are_pair_vertices():
     # graph couplings over an axis are vertices of the two-marginal polytope
     inst = random_instance(44, n_axes=2, max_atoms=4, uniform=True)
     res = lp.solve(inst)
-    dec = detect_map_decomposition(res.plan, 0)
+    dec = detect_map_decomposition(res.plan)
     if dec.max_fiber == 1:
         assert lp.is_vertex(res.plan, inst.measures)
 
@@ -464,7 +475,7 @@ def test_gw_optimum_rides_on_two_maps():
     inst = gen_gromov_wasserstein(ScenarioConfig("gromovWasserstein", seed=3,
                                                  sizes=(6,)))
     res = lp.solve(inst)
-    dec = detect_map_decomposition(res.plan, 0)
+    dec = detect_map_decomposition(res.plan)
     assert dec.max_fiber <= 2
 
 

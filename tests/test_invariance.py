@@ -1,12 +1,16 @@
-"""Invariance of `lp.solve` under cost scaling, shifting and axis permutation,
-on the tree core (N=2) and the dense core (N=3), and the paper's pair
-reduction theorem as an independent check of the uniqueness certificate."""
+"""Invariance of `lp.solve` under cost scaling, shifting, per-axis terms,
+point translation and axis permutation, on the tree core (N=2) and the
+dense core (N=3), and the paper's pair reduction theorem as an independent
+check of the uniqueness certificate."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from momt import lp
+from momt.costs import CostSpec
 from momt.errors import NotAGraph
+from momt.instance import DiscreteInstance
+from momt.measure import DiscreteMeasure, Space
 from momt.reduction import reconstruct_from_pair_reductions, solve_pair_reductions
 from momt.scenarios import ScenarioConfig, gen_gangbo_swiech
 from momt.tolerances import DUAL_FEAS_TOL, GAP_TOL, cost_scaled
@@ -72,6 +76,69 @@ def test_permuting_axes_permutes_plan_and_potentials(seed, n_axes, sense, data):
     for mine, theirs in zip(res.potentials.vectors,
                             lp._canonical_gauge(back, inst.measures)):
         assert np.abs(mine - theirs).max() <= 1e-9 * span
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_axes=st.sampled_from([2, 3]),
+       sense=st.sampled_from(["min", "max"]), twin=st.booleans())
+def test_per_axis_terms_keep_the_status_and_a_unique_support(seed, n_axes, sense, twin):
+    # c + sum_k f_k(x_k) changes every plan's cost by the same constant; on
+    # integers both grids are exact, so only the solver's path may differ
+    rng = np.random.default_rng(seed)
+    if twin:
+        values, weights = tensor_case(seed, n_axes, twin=True)
+        values = np.round(values * 8.0)
+    else:
+        shape = tuple(rng.integers(2, 6, n_axes))
+        values = rng.integers(0, 6, shape).astype(float)
+        weights = [rng.dirichlet(np.ones(n)) for n in shape]
+    terms = [rng.integers(-20, 21, n).astype(float) for n in values.shape]
+    moved = values.copy()
+    for k, f in enumerate(terms):
+        moved += f.reshape((1,) * k + (-1,) + (1,) * (n_axes - k - 1))
+    inst = tensor_instance(values, weights, sense)
+    other = tensor_instance(moved, weights, sense)
+    res, out = lp.solve(inst), lp.solve(other)
+    constant = sum(float(f @ w) for f, w in zip(terms, weights))
+    assert abs(out.value - (res.value + constant)) <= cost_scaled(GAP_TOL, moved)
+    status = lp.uniqueness_certificate(inst, res).status
+    assert lp.uniqueness_certificate(other, out).status == status
+    if status == "unique":
+        assert set(out.plan.entries) == set(res.plan.entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["attractive", "repulsive", "mongeQuadratic"]),
+       data=st.data())
+def test_translating_dyadic_points_keeps_the_plan_bit_for_bit(seed, kind, data):
+    # quarter-integer points and power-of-two offsets: every shifted point
+    # and every difference is exact, so the translated instance is the same
+    # problem in floats, and these kinds are tabulated from differences
+    rng = np.random.default_rng(seed)
+    n_axes = 3 if kind == "mongeQuadratic" else data.draw(st.sampled_from([2, 3]))
+    d = data.draw(st.integers(1, 3))
+    offset = np.array([data.draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** data.draw(
+        st.integers(0, 40)) for _ in range(d)])
+    sense = data.draw(st.sampled_from(["min", "max"]))
+    sizes = rng.integers(2, 6, n_axes)
+    points = []
+    for n in sizes:
+        first = rng.choice(np.arange(-32, 33), n, replace=False)[:, None]
+        points.append(np.hstack([first, rng.integers(-32, 33, (n, d - 1))]) / 4.0)
+    weights = [rng.dirichlet(np.ones(n)) for n in sizes]
+
+    def instance(shift):
+        spaces = [Space(f"X{k}", p + shift) for k, p in enumerate(points)]
+        return DiscreteInstance(spaces, [DiscreteMeasure(s, w)
+                                         for s, w in zip(spaces, weights)],
+                                CostSpec(kind, sense))
+
+    inst, moved = instance(0.0), instance(offset)
+    assert moved.cost_grid().tobytes() == inst.cost_grid().tobytes()
+    res, out = lp.solve(inst), lp.solve(moved)
+    assert out.plan.entries == res.plan.entries
+    assert out.value == res.value
 
 
 def _pair_theorem_holds(inst, res):

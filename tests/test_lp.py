@@ -53,10 +53,11 @@ def test_overflowing_cost_span_raises_without_warnings(n_axes, sense):
     assert res.value == pytest.approx(-4e307 if sense == "min" else 4e307, rel=1e-12)
 
 
-def test_grid_cap():
+def test_grid_cap(monkeypatch):
     inst = random_instance(0, n_axes=3, max_atoms=4)
+    monkeypatch.setattr(lp, "GRID_CAP", 10)
     with pytest.raises(InstanceTooLarge):
-        lp.solve(inst, grid_cap=10)
+        lp.solve(inst)
 
 
 def test_solve_batch_invariants():

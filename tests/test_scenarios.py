@@ -98,7 +98,7 @@ def test_mixture_is_optimal_two_map_plan():
     assert abs(mix_value - res.value) < 1e-10
     from momt.extremality import detect_map_decomposition
 
-    dec = detect_map_decomposition(mixture, 0)
+    dec = detect_map_decomposition(mixture)
     assert dec.max_fiber == 2
 
 
