@@ -25,7 +25,6 @@ from .measure import (
     DiscreteMeasure,
     Disintegration,
     Space,
-    assemble_product_conditional,
     disintegrate,
     glue,
     pushforward,

@@ -42,7 +42,7 @@ from .measure import DiscreteMeasure, Space
 from .reduction import IndexSubset, verify_reduction_optimality
 from .scenarios import ALIASES, SCENARIO_KINDS, ScenarioConfig, run_scenario
 from .serialize import dump_text, write_csv
-from .tolerances import GAP_TOL, STORAGE_TOL
+from .tolerances import GAP_TOL
 
 SCHEMA_VERSION = 1
 _EXIT_VALIDATION = 2
@@ -97,11 +97,6 @@ def load_instance_dict(doc: dict) -> DiscreteInstance:
             total = w.sum()
         if abs(total - 1.0) > 1e-12:
             raise SchemaError(f"weights[{k}]", f"weights sum to {total!r}, expected 1")
-        if w.min() < 0.0:
-            # DiscreteMeasure admits weights down to -STORAGE_TOL; in a file
-            # such a weight is the rounding dust of an empty atom, and the
-            # simplex needs nonnegative marginals
-            w = np.where((w < 0.0) & (w >= -STORAGE_TOL), 0.0, w)
         try:
             measures.append(DiscreteMeasure(space, w))
         except MomtError as exc:

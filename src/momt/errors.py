@@ -33,12 +33,6 @@ class MarginalMismatch(MomtError):
         )
 
 
-class MapDomainGap(MomtError):
-    def __init__(self, atom):
-        self.atom = atom
-        super().__init__(f"map undefined at positive-mass base atom {atom}")
-
-
 class InstanceTooLarge(MomtError):
     pass
 

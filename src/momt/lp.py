@@ -440,27 +440,6 @@ def _feasible_basis(A, b):
     return state
 
 
-def _simplex(A, b, costs, basis=None):
-    """Revised simplex; returns (x over columns, duals, pivots).
-
-    Without a starting `basis`, phase 1 finds one from artificials.
-    """
-    m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    if basis is None:
-        state = _feasible_basis(A, b)
-    else:
-        state = _SimplexState(basis=list(basis))
-    xB, y = _pivot_loop(_DenseColumns(A), b, np.asarray(costs, float), state,
-                        np.ones(n, dtype=bool))
-    x = _basic_solution(xB, state, n)
-    return x, y * np.where(neg, -1.0, 1.0), state.iterations
-
-
 # ---------------------------------------------------------------------------
 # network simplex (two marginals)
 # ---------------------------------------------------------------------------
@@ -487,8 +466,7 @@ class _Tree:
     An atom with no such child is void: weight 0, or a weight of a few ulps
     that the rounding of the other axis's weights leaves unserved
     (`DiscreteMeasure` admits sums off by STORAGE_TOL).  Its children hang
-    from its cheapest axis-1 ancestor.  A mass placed below 0, which
-    weights down to -STORAGE_TOL allow, starts as flow 0.
+    from its cheapest axis-1 ancestor.
     """
 
     def __init__(self, cols, cells, masses, c):
@@ -511,7 +489,7 @@ class _Tree:
         for v in order:
             for w, j, mass in arcs[v]:
                 if w != parent[v]:
-                    parent[w], cell[w], flow[w] = v, j, max(mass, 0.0)
+                    parent[w], cell[w], flow[w] = v, j, mass
                     kids[v].add(w)
                     order.append(w)
         c = c.reshape(n0, n1)
@@ -912,10 +890,23 @@ def solve(instance: DiscreteInstance) -> SolveResult:
 
 def solve_model(model: PolytopeModel, cost_vector: np.ndarray,
                 sense: str = "min") -> tuple[np.ndarray, float, int]:
-    """Optimize an arbitrary linear functional over a constraint polytope."""
+    """Optimize an arbitrary linear functional over a constraint polytope.
+
+    Rows with a negative right-hand side are negated, phase 1 finds a
+    feasible basis from artificials, and phase 2 optimizes on it.  Returns
+    the basic solution, its value and the pivots of both phases.
+    """
+    cost = np.asarray(cost_vector, float)
+    A, b = model.A.copy(), model.b.copy()
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+    state = _feasible_basis(A, b)
+    n = A.shape[1]
     sign = -1.0 if sense == "max" else 1.0
-    x, _, iters = _simplex(model.A, model.b, sign * np.asarray(cost_vector, float))
-    return x, float(np.asarray(cost_vector, float) @ x), iters
+    xB, _ = _pivot_loop(_DenseColumns(A), b, sign * cost, state, np.ones(n, dtype=bool))
+    x = _basic_solution(xB, state, n)
+    return x, float(cost @ x), state.iterations
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from .errors import (
     EmptySubset,
     IndexOutOfRange,
     InvariantViolation,
-    MapDomainGap,
     MarginalMismatch,
 )
 from .tolerances import GLUE_MARGINAL_TOL, MASS_FLOOR, STORAGE_TOL
@@ -65,11 +64,15 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.shape[0] != self.space.size:
             raise InvariantViolation("weight vector length must equal the atom count")
         if (w < -STORAGE_TOL).any():
             raise InvariantViolation("weights must be nonnegative")
+        if (w < 0.0).any():
+            # a weight in [-STORAGE_TOL, 0) is the rounding dust of an empty
+            # atom, and the simplex needs nonnegative marginals
+            w = np.where(w < 0.0, 0.0, w)
+        object.__setattr__(self, "weights", w)
         if abs(w.sum() - 1.0) > STORAGE_TOL:
             raise InvariantViolation(f"weights sum to {w.sum()!r}, expected 1")
 
@@ -322,59 +325,3 @@ def glue(left: Coupling, right: Coupling) -> Coupling:
             for zrest, wz in right_fib.get(x, {}).items():
                 entries[(x, *yrest, *zrest)] = wy * wz / mu_x
     return Coupling(left.arities + right.arities[1:], entries)
-
-
-def assemble_product_conditional(
-    base: Coupling,
-    base_axes: tuple[int, ...],
-    dirac_blocks: list[tuple[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]]],
-    residual: Disintegration | None,
-    arities: tuple[int, ...],
-) -> Coupling:
-    """Assemble a full coupling whose conditional at each base atom is a
-    product of Dirac blocks and one residual conditional.
-
-    dirac_blocks is a list of (block_axes, mapping) with mapping defined on
-    every positive-mass base atom; residual, when given, must be conditioned
-    on the same base atoms and covers the remaining axes.
-    """
-    n = len(arities)
-    base_axes = _check_subset(base_axes, n)
-    covered = set(base_axes)
-    for block_axes, mapping in dirac_blocks:
-        covered |= set(block_axes)
-    res_axes: tuple[int, ...] = ()
-    if residual is not None:
-        res_axes = residual.complement
-        covered |= set(res_axes)
-    if covered != set(range(n)):
-        raise InvariantViolation("axis blocks do not cover the full grid")
-
-    comp_shape = tuple(arities[a] for a in res_axes)
-    entries: dict[tuple[int, ...], float] = {}
-    for b, mass in base.entries.items():
-        idx = [0] * n
-        for a, i in zip(base_axes, b):
-            idx[a] = i
-        for block_axes, mapping in dirac_blocks:
-            if b not in mapping:
-                raise MapDomainGap(b)
-            image = mapping[b]
-            for a, i in zip(block_axes, image):
-                idx[a] = int(i)
-        if residual is None:
-            entries[tuple(idx)] = entries.get(tuple(idx), 0.0) + mass
-            continue
-        if b not in residual.conditionals:
-            raise MapDomainGap(b)
-        weights = residual.conditional_weights(b).reshape(comp_shape)
-        for c in np.ndindex(comp_shape):
-            w = weights[c]
-            if w <= MASS_FLOOR:
-                continue
-            for a, i in zip(res_axes, c):
-                idx[a] = i
-            key = tuple(idx)
-            entries[key] = entries.get(key, 0.0) + mass * w
-    out = Coupling(arities, entries)
-    return out

@@ -13,7 +13,8 @@ attains the reduced optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +30,7 @@ from .errors import (
 )
 from .instance import DiscreteInstance
 from .lp import Potentials, solve, uniqueness_certificate
-from .measure import (
-    Coupling,
-    assemble_product_conditional,
-    disintegrate,
-    pushforward,
-)
+from .measure import Coupling, glue, pushforward
 from .tolerances import DUAL_FEAS_TOL, GAP_TOL, cost_scaled
 
 
@@ -210,25 +206,17 @@ def solve_pair_reductions(instance: DiscreteInstance, potentials: Potentials):
     return pairs
 
 
-def _graph_map(plan: Coupling, axis: int) -> dict[tuple[int], tuple[int, ...]]:
-    """Fiber map over axis 0 of the pair plan for axis; raises if multi-valued."""
-    mapping = {}
-    for x, fib in plan.fibers(0).items():
-        if len(fib) != 1:
-            raise NotAGraph(axis, x)
-        mapping[(x,)] = next(iter(fib))
-    return mapping
-
-
 def reconstruct_from_pair_reductions(instance: DiscreteInstance, pairs: dict,
-                                     j0: int, reference_plan: Coupling):
-    """Rebuild the full plan from two-marginal reductions against axis 0.
+                                     reference_plan: Coupling):
+    """Rebuild the full plan by gluing the pair plans (0, 1), ..., (0, N-1).
 
-    pairs is `solve_pair_reductions(instance, potentials)`.  Every axis
-    j != j0 must reduce to a plan that is a graph over axis 0; the j0
-    reduction contributes the residual conditional.  The assembled plan is checked feasible and compared with
-    reference_plan in value (within GAP_TOL times the cost's span plus N
-    ulps of its largest magnitude) and in total variation.
+    pairs is `solve_pair_reductions(instance, potentials)`.  Every pair plan
+    but the last must be a graph over axis 0 (else NotAGraph names the first
+    that is not), so the glued conditional at each axis-0 atom is a product
+    of Dirac masses and the last pair plan's conditional.  The assembled
+    plan is checked feasible and compared with reference_plan in value
+    (within GAP_TOL times the cost's span plus N ulps of its largest
+    magnitude) and in total variation.
 
     The reconstruction equals the full optimum only when every reduced pair
     problem is uniquely solved, so each one gets a uniqueness certificate
@@ -237,20 +225,14 @@ def reconstruct_from_pair_reductions(instance: DiscreteInstance, pairs: dict,
     plan's restriction.
     """
     n = instance.n_axes
-    if not 1 <= j0 < n:
-        raise IndexOutOfRange(f"j0 must be in 1..{n - 1}")
     hypothesis: dict[int, bool] = {}
-    maps: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
     for j, (red, sol) in sorted(pairs.items()):
         hypothesis[j] = uniqueness_certificate(red.instance, sol).status == "unique"
-        if j != j0:
-            maps[j] = _graph_map(sol.plan, j)
-
-    # the pair plan's second axis is axis j0 of the full grid
-    residual = replace(disintegrate(pairs[j0][1].plan, (0,)), complement=(j0,))
-    blocks = [((j,), maps[j]) for j in sorted(maps)]
-    assembled = assemble_product_conditional(residual.base, (0,), blocks, residual,
-                                             instance.arities)
+        if j < n - 1:
+            for x, fib in sol.plan.fibers(0).items():
+                if len(fib) != 1:
+                    raise NotAGraph(j, x)
+    assembled = functools.reduce(glue, [pairs[j][1].plan for j in range(1, n)])
 
     feas_dev = max(
         float(np.abs(assembled.axis_marginal(k) - instance.measures[k].weights).max())
@@ -261,8 +243,8 @@ def reconstruct_from_pair_reductions(instance: DiscreteInstance, pairs: dict,
     ref_value = float(sum(grid[idx] * m for idx, m in reference_plan.entries.items()))
     value_gap = abs(value - ref_value)
     report = PairReconstructionReport(
-        j0=j0,
-        graph_axes=sorted(maps),
+        j0=n - 1,
+        graph_axes=list(range(1, n - 1)),
         feasible_dev=feas_dev,
         value_gap=value_gap,
         tv_to_plan=assembled.total_variation(reference_plan),

@@ -69,10 +69,6 @@ class ScenarioConfig:
     sizes: tuple[int, ...] = ()
     dimension: int = 0
     radii: tuple[float, ...] = ()
-    plane_offsets: tuple[float, float] = (0.0, 0.0)
-    normal: tuple[float, ...] = ()
-    xi: float = 1.0
-    matrix: np.ndarray | None = None
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -88,8 +84,6 @@ class ScenarioConfig:
         self.radii = tuple(float(r) for r in self.radii)
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise InvariantViolation("shell radii must be strictly increasing")
-        if self.normal and not any(abs(v) > 0 for v in self.normal):
-            raise InvariantViolation("plane normal must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -302,9 +296,8 @@ def gen_nested_shells(config: ScenarioConfig):
         raise InvariantViolation("need at least 3 plane pairs")
     radii = config.radii or (1.0, 1.6, 2.3)
     L = len(radii)
-    d1, d2 = config.plane_offsets if any(config.plane_offsets) else (0.35, 0.8)
-    normal = np.asarray(config.normal or (0.0, 1.0), dtype=float)
-    normal = normal / np.linalg.norm(normal)
+    d1, d2 = 0.35, 0.8
+    normal = np.array([0.0, 1.0])
     e1 = np.array([normal[1], -normal[0]])
 
     p = np.cumsum(rng.uniform(0.4, 1.0, n)); p -= p.mean()
@@ -323,8 +316,7 @@ def gen_nested_shells(config: ScenarioConfig):
         interior_candidates.extend([-radii[l], radii[l]])
     interior_candidates = sorted(interior_candidates)
     max_interior = max(0, (n - k0 - 1) // 2)
-    n_interior = min(len(interior_candidates), max_interior,
-                     int(config.extras.get("max_splits", 2)))
+    n_interior = min(len(interior_candidates), max_interior, 2)
     if n_interior:
         pick = sorted(rng.choice(len(interior_candidates), size=n_interior,
                                  replace=False))
@@ -502,12 +494,11 @@ def run_gangbo_swiech(config: ScenarioConfig) -> dict:
 
     reconstruction = None
     if not degenerate:
-        j0 = inst.n_axes - 1
-        _, brep = reconstruct_from_pair_reductions(inst, pairs, j0, res.plan)
+        _, brep = reconstruct_from_pair_reductions(inst, pairs, res.plan)
         if not brep.hypothesis_holds:
             degenerate = True
         reconstruction = {
-            "j0": j0,
+            "j0": brep.j0,
             "tv": _round(brep.tv_to_plan),
             "value_gap": _round(brep.value_gap),
             "hypothesis_unique": {str(k): bool(v)
@@ -639,8 +630,8 @@ def gen_gromov_wasserstein(config: ScenarioConfig):
     rng = np.random.default_rng(config.seed)
     n = config.sizes[0] if config.sizes else 6
     d = config.dimension or 2
-    A = config.matrix if config.matrix is not None else _random_invertible(rng, d)
-    xi = float(config.xi if config.xi else rng.uniform(0.3, 2.0))
+    A = _random_invertible(rng, d)
+    xi = 1.0
     n_heavy = min(2, n - 1) if n >= 3 else 0
     X = Space("X", rng.uniform(-1, 1, size=(n - n_heavy, d)))
     Y = Space("Y", rng.uniform(-1, 1, size=(n, d)))
@@ -660,10 +651,9 @@ def run_gromov_wasserstein(config: ScenarioConfig) -> dict:
     dec = detect_map_decomposition(res.plan)
 
     rng = np.random.default_rng(config.seed + 104729)
-    trials = int(config.extras.get("twist_trials", 20))
     d = inst.spaces[0].dim
     counts = []
-    for _ in range(trials):
+    for _ in range(20):
         A = _random_invertible(rng, d)
         xi = float(rng.uniform(0.3, 2.0) * (1 if rng.random() < 0.5 else -1))
         x0 = rng.uniform(-1, 1, d)
@@ -681,7 +671,7 @@ def run_gromov_wasserstein(config: ScenarioConfig) -> dict:
     checks = {
         "max_fiber": int(dec.max_fiber),
         "fiber_ok": dec.max_fiber <= 2,
-        "twist_counts_max": int(max(counts)) if counts else 0,
+        "twist_counts_max": int(max(counts)),
         "twist_counts_ok": all(c <= 2 for c in counts),
         "zero_x0_count": gw_twist_count(
             np.zeros(d), np.ones(d), np.eye(d), 1.0,
@@ -716,8 +706,7 @@ def gen_two_map_demo(config: ScenarioConfig):
     n = config.sizes[0] if config.sizes else 2
     alpha = np.asarray(config.extras.get("alpha", rng.uniform(0.25, 0.75, n)),
                        dtype=float)
-    beta = np.asarray(config.extras.get("beta", rng.uniform(0.25, 0.75, n)),
-                      dtype=float)
+    beta = rng.uniform(0.25, 0.75, n)
     masses = rng.uniform(0.5, 1.5, n)
     masses = masses / masses.sum()
 
@@ -830,7 +819,7 @@ def run_two_map_demo(config: ScenarioConfig) -> dict:
     rng = np.random.default_rng(config.seed + 7)
     interior_ok = True
     open_mask = ~per_atom_unique
-    for _ in range(int(config.extras.get("interior_trials", 20))):
+    for _ in range(20):
         theta = rng.uniform(0, 1, mu.size)
         plan = assemble_three_marginal(mixed_assembly(lower, upper, theta), mu)
         model.check_feasible(plan)

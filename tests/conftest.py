@@ -61,6 +61,25 @@ def dense_solve(inst):
                           second_vertex=second)
 
 
+def dense_simplex(A, b, costs, basis=None):
+    """Revised simplex over the dense columns of A x = b, x >= 0.
+
+    Without a starting `basis`, phase 1 finds one from artificials, as
+    `lp.solve_model` does.  Returns (x over columns, duals, pivots).
+    """
+    n = A.shape[1]
+    A, b = A.copy(), b.copy()
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+    state = (lp._feasible_basis(A, b) if basis is None
+             else lp._SimplexState(basis=list(basis)))
+    xB, y = lp._pivot_loop(lp._DenseColumns(A), b, np.asarray(costs, float), state,
+                           np.ones(n, dtype=bool))
+    x = lp._basic_solution(xB, state, n)
+    return x, y * np.where(neg, -1.0, 1.0), state.iterations
+
+
 def twin_surplus_instance(seed, n=8):
     """Three-axis surplus instance whose last axis holds two cost twins.
 

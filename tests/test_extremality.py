@@ -95,6 +95,28 @@ def test_optimal_support_is_monotone():
     assert _reference_monotonicity(res.plan.support(), inst.cost_grid(), "max", 3) is None
 
 
+def test_optimal_support_is_monotone_with_weights_just_below_zero():
+    # DiscreteMeasure admits a weight in [-STORAGE_TOL, 0) and reads it as 0;
+    # a negative marginal would make the dense core's start basis infeasible
+    # and its potentials price a support cell off the active set
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(2, 5, 4)
+        values = rng.integers(0, 4, sizes).astype(float)
+        weights = []
+        for n in sizes:
+            w = rng.dirichlet(np.ones(n))
+            at = rng.integers(n)
+            w[(at + 1) % n] += w[at] + 1e-13
+            w[at] = -1e-13
+            weights.append(w)
+        inst = tensor_instance(values, weights)
+        res = lp.solve(inst)
+        report = check_cyclical_monotonicity(res.plan.support(), inst.cost_grid(),
+                                             res.potentials)
+        assert report.passed, seed
+
+
 def test_product_support_violates_for_bilinear_cost():
     # minimizing x*y on {0,1}^2: the diagonal support loses to the swap
     grid = np.array([[0.0, 0.0], [0.0, 1.0]])

@@ -146,7 +146,7 @@ def _pair_theorem_holds(inst, res):
     and the plan rebuilt from them is the solve's."""
     pairs = solve_pair_reductions(inst, res.potentials)
     try:
-        _, report = reconstruct_from_pair_reductions(inst, pairs, inst.n_axes - 1, res.plan)
+        _, report = reconstruct_from_pair_reductions(inst, pairs, res.plan)
     except NotAGraph:
         return False
     graph = all(len(f) == 1 for f in pairs[inst.n_axes - 1][1].plan.fibers(0).values())

@@ -8,14 +8,12 @@ from momt.errors import (
     EmptySubset,
     IndexOutOfRange,
     InvariantViolation,
-    MapDomainGap,
     MarginalMismatch,
 )
 from momt.measure import (
     Coupling,
     DiscreteMeasure,
     Space,
-    assemble_product_conditional,
     disintegrate,
     glue,
     pushforward,
@@ -55,6 +53,10 @@ def test_measure_weight_validation():
         DiscreteMeasure(X, np.array([0.4, 0.4]))
     with pytest.raises(InvariantViolation):
         DiscreteMeasure(X, np.array([-0.1, 1.1]))
+    # a weight within STORAGE_TOL below 0 is the dust of an empty atom
+    w = np.array([-1e-13, 1.0])
+    assert DiscreteMeasure(X, w).weights.tolist() == [0.0, 1.0]
+    assert w[0] == -1e-13
 
 
 def test_coupling_prunes_dust_and_checks_mass():
@@ -357,33 +359,11 @@ def test_glue_restriction_property_random():
         assert pushforward(glued, (0, 2)).total_variation(right) < 1e-12
 
 
-# -- product-conditional assembly -------------------------------------------
-
-def test_assembly_identity_reproduces_plan():
-    rng = np.random.default_rng(9)
-    dense = rng.uniform(0.0, 1.0, (3, 2, 2))
-    dense[dense < 0.35] = 0.0
-    dense = dense / dense.sum()
-    plan = Coupling.from_dense(dense)
-    dis = disintegrate(plan, (0,))
-    rebuilt = assemble_product_conditional(dis.base, (0,), [], dis, plan.arities)
-    assert plan.total_variation(rebuilt) < 1e-14
-
-
-def test_assembly_all_dirac_blocks_is_graph():
-    w = np.array([0.4, 0.6])
-    base = Coupling((2,), {(0,): w[0], (1,): w[1]})
-    maps = [((1,), {(0,): (1,), (1,): (0,)}), ((2,), {(0,): (0,), (1,): (1,)})]
-    out = assemble_product_conditional(base, (0,), maps, None, (2, 2, 2))
-    assert out.entries == {(0, 1, 0): pytest.approx(0.4),
-                           (1, 0, 1): pytest.approx(0.6)}
-
-
-def test_assembly_map_domain_gap():
-    base = Coupling((2,), {(0,): 0.5, (1,): 0.5})
-    maps = [((1,), {(0,): (1,)})]
-    with pytest.raises(MapDomainGap):
-        assemble_product_conditional(base, (0,), maps, None, (2, 2))
+def test_glue_of_graphs_is_the_graph_of_both_maps():
+    left = Coupling((2, 2), {(0, 1): 0.4, (1, 0): 0.6})
+    right = Coupling((2, 2), {(0, 0): 0.4, (1, 1): 0.6})
+    assert glue(left, right).entries == {(0, 1, 0): pytest.approx(0.4),
+                                         (1, 0, 1): pytest.approx(0.6)}
 
 
 def test_marginals_match_reports_axis():

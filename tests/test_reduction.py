@@ -12,7 +12,7 @@ from momt.errors import (
     SubsetTooSmall,
 )
 from momt.instance import DiscreteInstance
-from momt.measure import DiscreteMeasure, Space
+from momt.measure import DiscreteMeasure, Space, pushforward
 from momt.reduction import (
     IndexSubset,
     reconstruct_from_pair_reductions,
@@ -21,7 +21,14 @@ from momt.reduction import (
     solve_pair_reductions,
     verify_reduction_optimality,
 )
+from momt.scenarios import (
+    ScenarioConfig,
+    gen_gangbo_swiech,
+    gen_nested_shells,
+    gen_sphere_reflection,
+)
 from conftest import random_instance, tensor_instance, twin_surplus_instance
+from test_acceptance import GS_BATTERY
 
 
 def test_subset_validation():
@@ -166,7 +173,7 @@ def test_reconstruction_matches_plan_seed42():
     inst = _gs_instance(42)
     res = lp.solve(inst)
     assembled, report = reconstruct_from_pair_reductions(
-        inst, solve_pair_reductions(inst, res.potentials), 2, reference_plan=res.plan)
+        inst, solve_pair_reductions(inst, res.potentials), reference_plan=res.plan)
     assert report.hypothesis_holds
     assert report.tv_to_plan < 1e-9
     assert report.value_gap <= 1e-8
@@ -177,7 +184,7 @@ def test_reconstruction_trivial_singletons():
     inst = tensor_instance(np.full((1, 1, 1), 1.5))
     res = lp.solve(inst)
     assembled, report = reconstruct_from_pair_reductions(
-        inst, solve_pair_reductions(inst, res.potentials), 2, reference_plan=res.plan)
+        inst, solve_pair_reductions(inst, res.potentials), reference_plan=res.plan)
     assert assembled.entries == {(0, 0, 0): pytest.approx(1.0)}
     assert report.passed
 
@@ -189,7 +196,7 @@ def test_reconstruction_reports_non_unique_reductions():
     inst = twin_surplus_instance(6)
     res = lp.solve(inst)
     assembled, report = reconstruct_from_pair_reductions(
-        inst, solve_pair_reductions(inst, res.potentials), 2, reference_plan=res.plan)
+        inst, solve_pair_reductions(inst, res.potentials), reference_plan=res.plan)
     assert not report.hypothesis_holds
     assert report.feasible_dev <= 1e-10
 
@@ -207,9 +214,47 @@ def test_reconstruction_diagonal_identity_on_mirror_instance():
     for (i, j), _mass in sol.plan.entries.items():
         assert i == j
     assembled, report = reconstruct_from_pair_reductions(
-        inst, solve_pair_reductions(inst, res.potentials), 2, reference_plan=res.plan)
+        inst, solve_pair_reductions(inst, res.potentials), reference_plan=res.plan)
     assert report.feasible_dev <= 1e-10
     assert report.value_gap <= 1e-8
+
+
+def _glue_cases():
+    for n_axes, n, seed in GS_BATTERY:
+        yield gen_gangbo_swiech(ScenarioConfig("gs", seed=seed, sizes=(n,),
+                                               extras={"n_axes": n_axes}))
+    for seed in range(6):
+        yield gen_nested_shells(ScenarioConfig("shells", seed=seed))[0]
+        yield gen_sphere_reflection(ScenarioConfig("sphere", seed=seed))[0]
+
+
+def test_reconstruction_restricts_to_every_pair_plan():
+    # the glued plan's pair marginals are the pair plans, the last (the one
+    # that is not a graph) included, on uniform and non-uniform weights
+    for inst in _glue_cases():
+        res = lp.solve(inst)
+        pairs = solve_pair_reductions(inst, res.potentials)
+        assembled, report = reconstruct_from_pair_reductions(inst, pairs, res.plan)
+        assert assembled.arities == inst.arities
+        assert report.j0 == inst.n_axes - 1
+        for j, (_, sol) in pairs.items():
+            assert pushforward(assembled, (0, j)).total_variation(sol.plan) <= 1e-15
+
+
+def test_reconstruction_gives_an_empty_axis_0_atom_no_cell():
+    for seed in range(4):
+        base = _gs_instance(seed, n=5)
+        extra = np.random.default_rng(seed + 100).uniform(-1, 1, (1, 2))
+        X0 = Space("X0", np.vstack([base.spaces[0].points, extra]))
+        w0 = np.r_[np.full(5, 0.2), 0.0]
+        inst = DiscreteInstance([X0, *base.spaces[1:]],
+                                [DiscreteMeasure(X0, w0), *base.measures[1:]],
+                                base.cost)
+        res = lp.solve(inst)
+        assembled, report = reconstruct_from_pair_reductions(
+            inst, solve_pair_reductions(inst, res.potentials), res.plan)
+        assert report.passed
+        assert all(idx[0] != 5 for idx in assembled.entries)
 
 
 def test_not_a_graph_error_names_axis():
@@ -218,7 +263,7 @@ def test_not_a_graph_error_names_axis():
     res = lp.solve(inst)
     try:
         reconstruct_from_pair_reductions(
-            inst, solve_pair_reductions(inst, res.potentials), 2, reference_plan=res.plan)
+            inst, solve_pair_reductions(inst, res.potentials), reference_plan=res.plan)
     except NotAGraph as err:
         assert err.axis in (1, 2)
     # zero cost may also reconstruct if the solver happens to pick graphs;
@@ -285,5 +330,5 @@ def test_reconstruction_passes_on_a_shifted_cost(shift):
                                          {"values": base.cost_grid() + shift}))
         res = lp.solve(inst)
         _, report = reconstruct_from_pair_reductions(
-            inst, solve_pair_reductions(inst, res.potentials), 2, res.plan)
+            inst, solve_pair_reductions(inst, res.potentials), res.plan)
         assert report.passed, (seed, report.value_gap)

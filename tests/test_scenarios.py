@@ -25,8 +25,6 @@ def test_config_validation():
         ScenarioConfig("gs", sizes=(0,))
     with pytest.raises(InvariantViolation):
         ScenarioConfig("shells", radii=(2.0, 1.0))
-    with pytest.raises(InvariantViolation):
-        ScenarioConfig("shells", normal=(0.0, 0.0))
 
 
 def test_normal_field_unit_length():

@@ -9,8 +9,8 @@ from momt.instance import DiscreteInstance
 from momt.measure import DiscreteMeasure, Space
 from momt.scenarios import ScenarioConfig, gen_gangbo_swiech
 from momt.tolerances import DUAL_FEAS_TOL, GAP_TOL
-from conftest import (dense_solve, random_instance, tensor_instance,
-                      twin_surplus_instance, twin_tensor)
+from conftest import (dense_simplex, dense_solve, random_instance,
+                      tensor_instance, twin_surplus_instance, twin_tensor)
 
 
 def point_instance(seed, shape, kind="surplus", sense="min", uniform=True):
@@ -44,12 +44,12 @@ def test_beale_cycling_lp_terminates_at_optimum(monkeypatch, stall):
     # stall 0 runs the lexicographic leaving rule throughout, 1 anchors it
     # at every degenerate pivot
     monkeypatch.setattr(lp, "_STALL_PIVOTS", stall)
-    x, y, _ = lp._simplex(BEALE_A, BEALE_B, BEALE_C, basis=[0, 1, 2])
+    x, y, _ = dense_simplex(BEALE_A, BEALE_B, BEALE_C, basis=[0, 1, 2])
     assert BEALE_C @ x == pytest.approx(-0.05, abs=1e-12)
     assert x == pytest.approx([0.03, 0.0, 0.0, 0.04, 0.0, 1.0, 0.0], abs=1e-12)
     assert y @ BEALE_B == pytest.approx(-0.05, abs=1e-12)
     # phase 1 from artificials reaches the same optimum
-    x1, _, _ = lp._simplex(BEALE_A, BEALE_B, BEALE_C)
+    x1, _, _ = dense_simplex(BEALE_A, BEALE_B, BEALE_C)
     assert BEALE_C @ x1 == pytest.approx(-0.05, abs=1e-12)
 
 
@@ -318,8 +318,8 @@ def test_pivot_path_matches_the_oracle_in_phase_one(pivot_calls):
         inst = random_instance(seed + 900, n_axes=2 + seed % 3, max_atoms=4,
                                uniform=seed % 2 == 0)
         model = lp.standard_model(inst.measures)
-        lp._simplex(model.A, model.b, inst.cost_grid().reshape(-1))
-    lp._simplex(BEALE_A, BEALE_B, BEALE_C)
+        lp.solve_model(model, inst.cost_grid().reshape(-1))
+    dense_simplex(BEALE_A, BEALE_B, BEALE_C)
     assert pivot_calls["calls"] == 14          # phase 1 and phase 2 of each
 
 

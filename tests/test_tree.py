@@ -153,14 +153,14 @@ def test_void_atoms_stay_leaves_and_the_solve_ends():
 
 
 def test_start_tree_is_strongly_feasible_on_weights_within_storage_tolerance():
-    # DiscreteMeasure admits weights down to -STORAGE_TOL and sums off 1 by
-    # STORAGE_TOL, so the least-cost start may place negative masses and
-    # leave an axis-1 atom of a few ulps unserved; such an atom becomes a
-    # void leaf (children re-hung, even when it had some), every other
-    # non-root axis-1 atom hangs from a positive flow, and the optimum
-    # matches the dense core's
+    # DiscreteMeasure admits sums off 1 by STORAGE_TOL (and reads weights
+    # down to -STORAGE_TOL as 0), so the least-cost start may leave an
+    # axis-1 atom of a few ulps unserved; such an atom becomes a void leaf
+    # (children re-hung, even when it had some), every other non-root
+    # axis-1 atom hangs from a positive flow, and the optimum matches the
+    # dense core's
     rng = np.random.default_rng(0)
-    negative = unserved = unserved_with_kids = 0
+    unserved = unserved_with_kids = 0
     for t in range(400):
         n0, n1 = rng.integers(2, 6, 2)
         weights = []
@@ -184,7 +184,6 @@ def test_start_tree_is_strongly_feasible_on_weights_within_storage_tolerance():
                 if cols.b[v] > 0.0:
                     unserved += 1
                     unserved_with_kids += sum(j % n1 == v - n0 for j in cells) > 1
-        negative += min(masses) < 0.0
         res = lp.solve(inst)
         assert abs(res.value - dense_solve(inst).value) <= cost_scaled(GAP_TOL, values)
-    assert negative and unserved and unserved_with_kids
+    assert unserved and unserved_with_kids

@@ -21,6 +21,7 @@ from momt.scenarios import (
 )
 from momt.tolerances import GAP_TOL, WITNESS_TV_TOL
 from conftest import (
+    dense_simplex,
     random_instance,
     tensor_instance,
     twin_surplus_instance,
@@ -47,7 +48,7 @@ def probe_status(inst, plan):
     for _ in range(2):
         probe = rng.standard_normal(model.n_cols)
         for sign in (1.0, -1.0):
-            x, _, _ = lp._simplex(A, b, sign * probe)
+            x, _, _ = dense_simplex(A, b, sign * probe)
             cand = lp._coupling_from_x(x, inst.arities)
             max_tv = max(max_tv, plan.total_variation(cand))
     if max_tv <= GAP_TOL:
