@@ -32,20 +32,22 @@ same core, warm-started from the optimal basis.  It also decides
 uniqueness: it either proves the vertex the only optimal plan or returns a
 second optimal vertex, which `uniqueness_certificate` turns into a witness
 without an LP of its own.
-General polytopes (`PolytopeModel`, `solve_model`) keep a dense matrix and
-start with a phase 1 over artificials.
 Maximization instances are negated internally and the sense is restored in
 all reported quantities.  Everything is deterministic.
 
 The vertex oracle (`enumerate_vertices`, `oracle_enumerate`) pivots through
 the lexicographically feasible bases of a polytope, one leaving row per
 entering column, and so reaches every vertex without visiting every basis
-of a degenerate one.
+of a degenerate one.  A transport polytope, given by its marginals' weight
+vectors, keeps its columns in `_TransportColumns` and starts from the
+least-cost basis, with no phase 1.
 
-A polytope is described by marginal-type equality constraints: each
-constraint pins the plan's restriction to a block of axes.  The standard
-problem uses one single-axis block per marginal; pair-constrained systems
-(plans with prescribed two-axis restrictions) reuse the same machinery.
+General polytopes (`PolytopeModel`, `solve_model`) are described by
+marginal-type equality constraints, each pinning the plan's restriction to
+a block of axes; they keep a dense matrix and start with a phase 1 over
+artificials.  Nothing in the library builds one: this path serves the
+tests' general polytopes, such as the pair-constrained systems of the
+gluing criteria.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ class PolytopeModel:
     greedily in row order (`_spanning_rows`), so the kept system has full
     row rank.  For the standard chain of single-axis marginals that drops
     the last row of every marginal after the first (their block sums all
-    equal the total mass).  `solve` does not use this class: its columns
-    stay implicit (`_TransportColumns`).
+    equal the total mass).  The library builds none: `solve` and the
+    vertex oracle keep transport columns implicit (`_TransportColumns`).
     """
 
     def __init__(self, arities, constraints):
@@ -143,14 +145,16 @@ class PolytopeModel:
 
     def check_feasible(self, plan: Coupling):
         """Raise MarginalMismatch if the plan violates any constraint block."""
-        _check_marginals(plan, self.constraints)
+        check_marginals(plan, [(con.axes, con.target) for con in self.constraints])
 
 
-def _check_marginals(plan, constraints):
-    for con in constraints:
-        dev = float(np.abs(plan.marginal_on(con.axes) - con.target).max())
+def check_marginals(plan: Coupling, targets):
+    """Raise MarginalMismatch if, for some (axes, target) pair of `targets`,
+    the plan's restriction to the axes is off the target by more than 1e-8."""
+    for axes, target in targets:
+        dev = float(np.abs(plan.marginal_on(axes) - target).max())
         if dev > 1e-8:
-            raise MarginalMismatch(con.axes, dev)
+            raise MarginalMismatch(axes, dev)
 
 
 def _spanning_rows(A, b=None) -> list[int]:
@@ -174,7 +178,8 @@ def _spanning_rows(A, b=None) -> list[int]:
 
 
 def standard_model(measures: list[DiscreteMeasure]) -> PolytopeModel:
-    """Dense model of the standard problem (the oracle's and the tests')."""
+    """Dense model of the standard problem, the tests' reference for
+    `_TransportColumns`."""
     arities = tuple(m.size for m in measures)
     cons = [MarginalConstraint((k,), m.weights) for k, m in enumerate(measures)]
     return PolytopeModel(arities, cons)
@@ -215,18 +220,19 @@ class _DenseColumns:
 
 
 class _TransportColumns:
-    """Columns of the standard model, kept implicit.
+    """Columns of the transport polytope of N weight vectors, kept implicit.
 
     Cell (i_1, ..., i_N) has a 1 in row block k at atom i_k.  The rows are
     those `standard_model` keeps: every atom of the first marginal and all
     but the last atom of each later one.  `rows[k][i]` is the row of atom i
     of axis k, or m for a dropped row; a row vector y read through `rows`
     with a zero appended gives one vector per axis (`split`), and pricing is
-    their broadcast sum.
+    their broadcast sum.  The weights need not sum to 1: a fiber of a plan
+    carries the mass of its atom.
     """
 
-    def __init__(self, measures: list[DiscreteMeasure]):
-        self.arities = tuple(m.size for m in measures)
+    def __init__(self, weights: list[np.ndarray]):
+        self.arities = tuple(len(w) for w in weights)
         self.n = math.prod(self.arities)
         self.m = sum(self.arities) - len(self.arities) + 1
         self.rows, start = [], 0
@@ -237,8 +243,8 @@ class _TransportColumns:
             self.rows.append(rows)
             start += kept
         b = np.zeros(self.m + 1)
-        for r, meas in zip(self.rows, measures):
-            b[r] = meas.weights
+        for r, w in zip(self.rows, weights):
+            b[r] = w
         self.b = b[:self.m]
         self._padded = np.zeros(self.m + 1)     # y, then 0 for the dropped rows
 
@@ -743,9 +749,9 @@ def _coupling_from_x(x: np.ndarray, arities: tuple[int, ...]) -> Coupling:
     return Coupling(arities, dict(zip(idx, (x[cols] / total).tolist())))
 
 
-def _least_cost_basis(measures: list[DiscreteMeasure],
+def _least_cost_basis(weights: list[np.ndarray],
                       c: np.ndarray) -> tuple[list[int], list[float]]:
-    """Least-cost start basis of the standard model for the flat cost c.
+    """Least-cost start basis of the transport polytope of `weights`, flat cost c.
 
     Take the cheapest cell among live atoms (lowest index on ties), place
     as much mass as every one of its atoms has left, and retire exactly one
@@ -757,8 +763,8 @@ def _least_cost_basis(measures: list[DiscreteMeasure],
     are a basis, and the placed masses make it feasible.  Returns the cells
     and the masses placed on them.
     """
-    arities = tuple(m.size for m in measures)
-    left = [m.weights.tolist() for m in measures]
+    arities = tuple(len(w) for w in weights)
+    left = [w.tolist() for w in weights]
     live = list(arities)
     free = c.reshape(arities).copy()
     cells, masses = [], []
@@ -841,7 +847,8 @@ def solve(instance: DiscreteInstance) -> SolveResult:
     grid = instance.cost_grid()
     if not np.isfinite(grid).all():
         raise NonFiniteCost("cost grid contains non-finite values")
-    cols = _TransportColumns(instance.measures)
+    weights = [m.weights for m in instance.measures]
+    cols = _TransportColumns(weights)
     sign = -1.0 if instance.sense == "max" else 1.0
     c = sign * grid.reshape(-1)
     shift = float(c.min())
@@ -850,7 +857,7 @@ def solve(instance: DiscreteInstance) -> SolveResult:
         raise NonFiniteCost("cost span overflows the float range")
     span = span or 1.0
     c = (c - shift) / span
-    cells, masses = _least_cost_basis(instance.measures, c)
+    cells, masses = _least_cost_basis(weights, c)
     if instance.n_axes == 2:
         loop, state = _tree_loop, _Tree(cols, cells, masses, c)
     else:
@@ -923,9 +930,8 @@ def is_vertex(plan: Coupling, constraints) -> bool:
         constraints.check_feasible(plan)
         columns = _DenseColumns(constraints.A)
     else:
-        _check_marginals(plan, [MarginalConstraint((k,), m.weights)
-                                for k, m in enumerate(constraints)])
-        columns = _TransportColumns(constraints)
+        check_marginals(plan, [((k,), m.weights) for k, m in enumerate(constraints)])
+        columns = _TransportColumns([m.weights for m in constraints])
     support = plan.support()
     if not support:
         return True
@@ -998,12 +1004,21 @@ def _lex_leaving(tied, D, W):
     return leaving
 
 
-def enumerate_vertices(model: PolytopeModel):
+def enumerate_vertices(polytope):
     """All basic feasible solutions, found by pivoting from a start basis.
+
+    `polytope` is a PolytopeModel or the list of marginal weight vectors of
+    a transport polytope.  A transport polytope drops its atoms of weight 0,
+    whose cells are forced to 0, and starts from the least-cost basis of the
+    zero cost over `_TransportColumns` on the rest: any feasible basis will
+    do, with no phase 1.  A PolytopeModel drops the cells its zero-mass rows
+    force to 0 (`_presolve_zero_cells`) and starts from a phase 1.  Either
+    way the vertices are vectors over the whole grid.
 
     The search visits only lexicographically feasible bases: those of the
     perturbed right-hand side b + B0 (eps, eps^2, ...), where B0 is the
-    phase-1 start basis, lexicographically feasible itself.  The perturbed
+    start basis, lexicographically feasible itself because B0^-1 of that
+    vector is its basic solution plus the rows of the identity.  The perturbed
     polytope is simple, so each entering column has exactly one leaving
     row (`_lex_leaving`), its bases form a connected graph, and every
     vertex of the polytope is the limit of one of its vertices (the
@@ -1015,10 +1030,21 @@ def enumerate_vertices(model: PolytopeModel):
     out sorted by `_vertex_key`, each solved on the first basis that
     reaches it, columns in ascending order.
     """
-    A, b, keep_cols = _presolve_zero_cells(model.A, model.b)
+    if isinstance(polytope, PolytopeModel):
+        A, b, keep_cols = _presolve_zero_cells(polytope.A, polytope.b)
+        start = _feasible_basis(A, b).basis
+        n_cols = polytope.n_cols
+    else:
+        live = [np.flatnonzero(w > 0.0) for w in polytope]
+        weights = [w[i] for w, i in zip(polytope, live)]
+        cols = _TransportColumns(weights)
+        A, b = cols.matrix(np.arange(cols.n)), cols.b
+        start = _least_cost_basis(weights, np.zeros(cols.n))[0]
+        arities = tuple(len(w) for w in polytope)
+        keep_cols = np.ravel_multi_index(np.ix_(*live), arities).reshape(-1)
+        n_cols = math.prod(arities)
     n = A.shape[1]
     bits = [1 << col for col in range(n)]
-    start = _feasible_basis(A, b).basis
     seen_bases = {sum(bits[col] for col in start)}
     queue = list(seen_bases)
     vertices: dict[tuple, np.ndarray] = {}
@@ -1032,7 +1058,7 @@ def enumerate_vertices(model: PolytopeModel):
         B = A[:, basis]
         xB = np.linalg.solve(B, b)
         xB = np.where(0.0 > xB, 0.0, xB)          # Python's max(xB, 0.0): keeps -0.0
-        x = np.zeros(model.n_cols)
+        x = np.zeros(n_cols)
         x[keep_cols[basis]] = xB
         vertices.setdefault(_vertex_key(x), x)
         directions = np.linalg.solve(B, A)
@@ -1074,11 +1100,10 @@ def oracle_enumerate(instance: DiscreteInstance) -> list[tuple[Coupling, float]]
             f"oracle caps are {ORACLE_GRID_CAP} cells / {ORACLE_ATOM_CAP} atoms, "
             f"got {arities}"
         )
-    model = standard_model(instance.measures)
     grid = instance.cost_grid().reshape(-1)
     return [
         (_coupling_from_x(x, arities), float(grid @ x))
-        for x in enumerate_vertices(model)
+        for x in enumerate_vertices([m.weights for m in instance.measures])
     ]
 
 

@@ -181,7 +181,6 @@ def reduce_chain(instance: DiscreteInstance,
 @dataclass
 class PairReconstructionReport:
     j0: int
-    graph_axes: list[int]
     feasible_dev: float
     value_gap: float
     tv_to_plan: float
@@ -244,7 +243,6 @@ def reconstruct_from_pair_reductions(instance: DiscreteInstance, pairs: dict,
     value_gap = abs(value - ref_value)
     report = PairReconstructionReport(
         j0=n - 1,
-        graph_axes=list(range(1, n - 1)),
         feasible_dev=feas_dev,
         value_gap=value_gap,
         tv_to_plan=assembled.total_variation(reference_plan),

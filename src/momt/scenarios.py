@@ -10,6 +10,7 @@ emit flagged reports instead of asserting conclusions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -770,6 +771,21 @@ def gen_two_map_demo(config: ScenarioConfig):
     return inst, meta
 
 
+def pair_polytope_vertices(target_xy: np.ndarray, target_xz: np.ndarray):
+    """Vertices of the three-axis plans with (0, 1) restriction `target_xy`
+    and (0, 2) restriction `target_xz`, as dense arrays.
+
+    By disintegration such a plan is fixed by its conditionals given x0, and
+    the conditional at atom x is bound only by the rows target_xy[x] and
+    target_xz[x]: it is a two-marginal transport plan of mass mu0(x).  So the
+    polytope is the product of these fibers' transport polytopes, and its
+    vertices are the products of the fibers' vertices.
+    """
+    fibers = [lp.enumerate_vertices([xy, xz]) for xy, xz in zip(target_xy, target_xz)]
+    shape = target_xy.shape + target_xz.shape[1:]
+    return [np.stack(choice).reshape(shape) for choice in itertools.product(*fibers)]
+
+
 def run_two_map_demo(config: ScenarioConfig) -> dict:
     inst, meta = gen_two_map_demo(config)
     res = lp.solve(inst)
@@ -787,15 +803,8 @@ def run_two_map_demo(config: ScenarioConfig) -> dict:
 
     target_xy = lower_plan.marginal_on((0, 1))
     target_xz = lower_plan.marginal_on((0, 2))
-    model = lp.PolytopeModel(
-        inst.arities,
-        [lp.MarginalConstraint((0, 1), target_xy),
-         lp.MarginalConstraint((0, 2), target_xz)],
-    )
-    vertices = [
-        Coupling.from_dense(x.reshape(inst.arities))
-        for x in lp.enumerate_vertices(model)
-    ]
+    vertices = [Coupling.from_dense(x)
+                for x in pair_polytope_vertices(target_xy, target_xz)]
     per_atom_unique, all_unique = unique_condition(alpha_eff, beta_eff)
     open_atoms = int((~per_atom_unique).sum())
 
@@ -819,10 +828,11 @@ def run_two_map_demo(config: ScenarioConfig) -> dict:
     rng = np.random.default_rng(config.seed + 7)
     interior_ok = True
     open_mask = ~per_atom_unique
+    targets = [((0, 1), target_xy), ((0, 2), target_xz)]
     for _ in range(20):
         theta = rng.uniform(0, 1, mu.size)
         plan = assemble_three_marginal(mixed_assembly(lower, upper, theta), mu)
-        model.check_feasible(plan)
+        lp.check_marginals(plan, targets)
         back = recover_theta(plan, lower, mu)
         if open_mask.any() and np.abs((back - theta)[open_mask]).max() > 1e-9:
             interior_ok = False

@@ -46,13 +46,14 @@ def dense_solve(inst):
     Returns a SolveResult with plan, value, pivots and second vertex (no
     potentials), ready for `lp.uniqueness_certificate`.
     """
-    cols = lp._TransportColumns(inst.measures)
+    cols = lp._TransportColumns([m.weights for m in inst.measures])
     sign = -1.0 if inst.sense == "max" else 1.0
     c = sign * inst.cost_grid().reshape(-1)
     shift = float(c.min())
     span = float(c.max()) - shift or 1.0
     c = (c - shift) / span
-    state = lp._SimplexState(basis=lp._least_cost_basis(inst.measures, c)[0])
+    weights = [m.weights for m in inst.measures]
+    state = lp._SimplexState(basis=lp._least_cost_basis(weights, c)[0])
     xB, y = lp._pivot_loop(cols, cols.b, c, state, np.ones(cols.n, dtype=bool))
     x = lp._basic_solution(xB, state, cols.n)
     _, second = lp._strictly_complementary(cols, cols.b, c, x, y, state, lp._pivot_loop)

@@ -27,7 +27,7 @@ def _measures(shape, seed):
 def test_implicit_columns_match_the_dense_standard_model(shape):
     measures = _measures(shape, len(shape) * 7 + shape[0])
     model = lp.standard_model(measures)
-    cols = lp._TransportColumns(measures)
+    cols = lp._TransportColumns([m.weights for m in measures])
     assert (cols.n, cols.m) == (model.n_cols, model.A.shape[0])
     assert np.array_equal(cols.b, model.b)
     for j in range(cols.n):

@@ -138,7 +138,7 @@ def test_least_cost_basis_is_feasible_and_full_rank():
         model = lp.standard_model(inst.measures)
         c = inst.cost_grid().reshape(-1)
         c = (c - c.min()) / (float(np.ptp(c)) or 1.0)
-        cells, masses = lp._least_cost_basis(inst.measures, c)
+        cells, masses = lp._least_cost_basis([m.weights for m in inst.measures], c)
         assert cells[0] == int(np.argmin(c))
         assert len(cells) == sum(inst.arities) - inst.n_axes + 1 == model.A.shape[0]
         B = model.A[:, cells]

@@ -89,10 +89,10 @@ def test_plan_bytes_depend_on_the_basis_alone(monkeypatch, weights):
     # the optimal tree of a solve, handed back as the start basis in shuffled
     # position orders, gives the same plan, value and potentials bit for bit
     inst = two_marginal_instance(4, 20, 20, "random", weights, "min")
-    cols = lp._TransportColumns(inst.measures)
+    cols = lp._TransportColumns([m.weights for m in inst.measures])
     c = inst.cost_grid().reshape(-1)
     c = (c - c.min()) / np.ptp(c)
-    tree = lp._Tree(cols, *lp._least_cost_basis(inst.measures, c), c)
+    tree = lp._Tree(cols, *lp._least_cost_basis([m.weights for m in inst.measures], c), c)
     xB, _ = lp._tree_loop(cols, cols.b, c, tree, np.ones(cols.n, dtype=bool))
     assert tree.iterations > 0
     basis, masses = list(tree.basis), xB.tolist()
@@ -118,10 +118,10 @@ def test_start_tree_is_strongly_feasible():
         n = 3 + seed % 6
         inst = two_marginal_instance(seed, n, n + seed % 3, ("random", "tied")[seed % 2],
                                      "uniform", "min")
-        cols = lp._TransportColumns(inst.measures)
+        cols = lp._TransportColumns([m.weights for m in inst.measures])
         c = inst.cost_grid().reshape(-1)
         c = (c - c.min()) / (np.ptp(c) or 1.0)
-        cells, masses = lp._least_cost_basis(inst.measures, c)
+        cells, masses = lp._least_cost_basis([m.weights for m in inst.measures], c)
         tree = lp._Tree(cols, cells, masses, c)
         n0 = inst.arities[0]
         assert all(tree.flow[v] > 0.0 for v in range(n0, tree.root))
@@ -145,9 +145,10 @@ def test_void_atoms_stay_leaves_and_the_solve_ends():
         res = lp.solve(inst)
         assert abs(res.value - dense_solve(inst).value) <= cost_scaled(GAP_TOL, values)
         assert all(w1[idx[1]] > 0.0 for idx in res.plan.entries)
-        cols = lp._TransportColumns(inst.measures)
+        cols = lp._TransportColumns([m.weights for m in inst.measures])
         c = (inst.cost_grid().reshape(-1) - values.min()) / (np.ptp(values) or 1.0)
-        tree = lp._Tree(cols, *lp._least_cost_basis(inst.measures, c), c)
+        weights = [m.weights for m in inst.measures]
+        tree = lp._Tree(cols, *lp._least_cost_basis(weights, c), c)
         lp._tree_loop(cols, cols.b, c, tree, np.ones(cols.n, dtype=bool))
         assert not tree.kids[n0] and not tree.kids[n0 + n1 - 2]
 
@@ -173,10 +174,10 @@ def test_start_tree_is_strongly_feasible_on_weights_within_storage_tolerance():
             weights.append(w + rng.uniform(-1e-13, 1e-13, n))
         values = rng.integers(0, 3, (n0, n1)).astype(float)
         inst = tensor_instance(values, weights, ("min", "max")[t % 2])
-        cols = lp._TransportColumns(inst.measures)
+        cols = lp._TransportColumns([m.weights for m in inst.measures])
         c = (-1.0 if t % 2 else 1.0) * values.reshape(-1)
         c = (c - c.min()) / (np.ptp(c) or 1.0)
-        cells, masses = lp._least_cost_basis(inst.measures, c)
+        cells, masses = lp._least_cost_basis([m.weights for m in inst.measures], c)
         tree = lp._Tree(cols, cells, masses, c)
         for v in range(n0, tree.root):
             if tree.flow[v] == 0.0:
