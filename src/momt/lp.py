@@ -42,12 +42,12 @@ of a degenerate one.  A transport polytope, given by its marginals' weight
 vectors, keeps its columns in `_TransportColumns` and starts from the
 least-cost basis, with no phase 1.
 
-General polytopes (`PolytopeModel`, `solve_model`) are described by
-marginal-type equality constraints, each pinning the plan's restriction to
-a block of axes; they keep a dense matrix and start with a phase 1 over
-artificials.  Nothing in the library builds one: this path serves the
-tests' general polytopes, such as the pair-constrained systems of the
-gluing criteria.
+The dense model (`PolytopeModel`, `standard_model`, `solve_model`) keeps
+an explicit matrix of marginal-type constraints and starts from a phase 1
+over artificial columns (`_feasible_basis`).  No command builds one: it is
+the tests' reference for the transport columns, the pivot loop and the
+vertex oracle.  Its three names stay in this module because the benchmark's
+layer tracer (`perfbench/layertrace.py`) binds them.
 """
 
 from __future__ import annotations
@@ -84,26 +84,16 @@ ORACLE_GRID_CAP = 81
 ORACLE_ATOM_CAP = 12
 
 
-@dataclass(frozen=True)
-class MarginalConstraint:
-    """Pin the plan's restriction to `axes` to the dense `target` array."""
-
-    axes: tuple[int, ...]
-    target: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
-
-
 class PolytopeModel:
-    """Equality-form LP data A x = b, x >= 0 over a flattened multi-index grid.
+    """Dense equality-form LP data A x = b, x >= 0 over a flattened grid.
 
-    Rows are grouped by constraint block; linearly dependent rows are dropped
-    greedily in row order (`_spanning_rows`), so the kept system has full
-    row rank.  For the standard chain of single-axis marginals that drops
-    the last row of every marginal after the first (their block sums all
-    equal the total mass).  The library builds none: `solve` and the
+    `constraints` are (axes, target) pairs, each pinning the plan's
+    restriction to `axes` to the array `target`, as `check_marginals` takes
+    them.  Rows are grouped by constraint; linearly dependent rows are
+    dropped greedily in row order (`_spanning_rows`), so the kept system has
+    full row rank.  For the standard chain of single-axis marginals that
+    drops the last row of every marginal after the first (their block sums
+    all equal the total mass).  The library builds none: `solve` and the
     vertex oracle keep transport columns implicit (`_TransportColumns`).
     """
 
@@ -114,38 +104,29 @@ class PolytopeModel:
             raise InstanceTooLarge(
                 "general constraint systems are limited to 20000 grid cells"
             )
-        self.constraints = list(constraints)
-        self._build()
-
-    def _build(self):
+        self.constraints = [(tuple(int(a) for a in axes), np.asarray(target, float))
+                            for axes, target in constraints]
         grid = np.indices(self.arities).reshape(len(self.arities), -1)
         rows, rhs, meta = [], [], []
-        for ci, con in enumerate(self.constraints):
-            shape = tuple(self.arities[a] for a in con.axes)
-            if con.target.shape != shape:
+        for ci, (axes, target) in enumerate(self.constraints):
+            shape = tuple(self.arities[a] for a in axes)
+            if target.shape != shape:
                 raise InvariantViolation(
-                    f"constraint on axes {con.axes}: target shape {con.target.shape}, "
+                    f"constraint on axes {axes}: target shape {target.shape}, "
                     f"expected {shape}"
                 )
-            pos = np.ravel_multi_index([grid[a] for a in con.axes], shape)
+            pos = np.ravel_multi_index([grid[a] for a in axes], shape)
             block = np.zeros((int(np.prod(shape)), self.n_cols))
             block[pos, np.arange(self.n_cols)] = 1.0
             rows.append(block)
-            rhs.append(con.target.reshape(-1))
+            rhs.append(target.reshape(-1))
             meta.extend((ci, p) for p in range(block.shape[0]))
-        A_full = np.vstack(rows) if rows else np.zeros((0, self.n_cols))
-        b_full = np.concatenate(rhs) if rhs else np.zeros(0)
+        self.A_full = np.vstack(rows) if rows else np.zeros((0, self.n_cols))
+        self.b_full = np.concatenate(rhs) if rhs else np.zeros(0)
         self.row_meta = meta
-        keep = _spanning_rows(A_full)
-        self.kept = keep
-        self.A = A_full[keep]
-        self.b = b_full[keep]
-        self.A_full = A_full
-        self.b_full = b_full
-
-    def check_feasible(self, plan: Coupling):
-        """Raise MarginalMismatch if the plan violates any constraint block."""
-        check_marginals(plan, [(con.axes, con.target) for con in self.constraints])
+        self.kept = _spanning_rows(self.A_full)
+        self.A = self.A_full[self.kept]
+        self.b = self.b_full[self.kept]
 
 
 def check_marginals(plan: Coupling, targets):
@@ -157,12 +138,8 @@ def check_marginals(plan: Coupling, targets):
             raise MarginalMismatch(axes, dev)
 
 
-def _spanning_rows(A, b=None) -> list[int]:
-    """Greedy Gram-Schmidt: the rows of A not in the span of earlier kept rows.
-
-    With `b`, a dropped row must be implied, so its right-hand side must
-    vanish; a large one means infeasibility.
-    """
+def _spanning_rows(A) -> list[int]:
+    """Greedy Gram-Schmidt: the rows of A not in the span of earlier kept rows."""
     keep, basis = [], []
     for r in range(A.shape[0]):
         v = A[r].astype(float)
@@ -172,8 +149,6 @@ def _spanning_rows(A, b=None) -> list[int]:
         if norm > 1e-9 * (1.0 + np.linalg.norm(A[r])):
             basis.append(v / norm)
             keep.append(r)
-        elif b is not None and abs(b[r]) > 1e-9:
-            raise SolverError("zero-support row with positive mass requirement")
     return keep
 
 
@@ -181,8 +156,7 @@ def standard_model(measures: list[DiscreteMeasure]) -> PolytopeModel:
     """Dense model of the standard problem, the tests' reference for
     `_TransportColumns`."""
     arities = tuple(m.size for m in measures)
-    cons = [MarginalConstraint((k,), m.weights) for k, m in enumerate(measures)]
-    return PolytopeModel(arities, cons)
+    return PolytopeModel(arities, [((k,), m.weights) for k, m in enumerate(measures)])
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +164,7 @@ def standard_model(measures: list[DiscreteMeasure]) -> PolytopeModel:
 # ---------------------------------------------------------------------------
 # The simplex sees the columns of A through four operations: `price(y)` is
 # y @ A, `column(j)` is A[:, j], `matrix(ids)` puts the columns `ids` side
-# by side, where ids >= n stand for the artificial unit columns of a
-# phase 1, and `product(M, ids)` is M @ matrix(ids).
+# by side, and `product(M, ids)` is M @ matrix(ids).
 
 class _DenseColumns:
     """Columns of an explicit constraint matrix."""
@@ -207,16 +180,10 @@ class _DenseColumns:
         return self.A[:, j]
 
     def matrix(self, ids):
-        out = np.zeros((self.A.shape[0], len(ids)))
-        for p, col in enumerate(ids):
-            if col < self.n:
-                out[:, p] = self.A[:, col]
-            else:
-                out[col - self.n, p] = 1.0
-        return out
+        return self.A[:, ids]
 
     def product(self, M, ids):
-        return M @ self.matrix(ids)
+        return M @ self.A[:, ids]
 
 
 class _TransportColumns:
@@ -297,7 +264,7 @@ _LEX_TOL = 1e-9          # perturbation ratios this close tie in the lexicograph
 
 @dataclass
 class _SimplexState:
-    basis: list[int]          # column ids; id >= n_cols means artificial e_{id-n_cols}
+    basis: list[int]          # column ids
     iterations: int = 0       # pivots taken
     inverse: np.ndarray | None = None   # B^{-1}, kept by rank-one updates
     updates: int = 0          # rank-one updates since the last factorisation
@@ -343,12 +310,10 @@ def _pivot_loop(cols, b, costs, state, allow_enter):
     m values of x_B and d: bases have only sum(n_k) - N + 1 rows, where a
     numpy call costs more than its arithmetic.
     """
-    n = cols.n
     c_B = costs[state.basis]
-    c_open = np.where(allow_enter, costs[:n], np.inf)
-    basic = np.asarray(state.basis)
-    c_open[basic[basic < n]] = np.inf
-    reduced = np.empty(n)
+    c_open = np.where(allow_enter, costs, np.inf)
+    c_open[state.basis] = np.inf
+    reduced = np.empty(cols.n)
     rejected = []
     stalled = 0
     anchor = None                          # basis B0 of the lexicographic rule
@@ -404,7 +369,7 @@ def _pivot_loop(cols, b, costs, state, allow_enter):
         if not stalled:
             anchor = None
         out = state.basis[leaving]
-        if out < n and allow_enter[out]:
+        if allow_enter[out]:
             c_open[out] = costs[out]
         c_open[entering] = np.inf
         c_B[leaving] = costs[entering]
@@ -415,19 +380,19 @@ def _basic_solution(xB, state, n):
     if (xB < -1e-9).any():
         raise SolverError("basic solution drifted negative")
     x = np.zeros(n)
-    basis = np.asarray(state.basis)
-    real = basis < n
     # where, not maximum: like Python's max(v, 0.0) it keeps -0.0
-    x[basis[real]] = np.where(0.0 > xB, 0.0, xB)[real]
+    x[state.basis] = np.where(0.0 > xB, 0.0, xB)
     return x
 
 
 def _feasible_basis(A, b):
-    """Phase 1 from an all-artificial basis, then pivot the artificials out."""
+    """Phase 1 on the columns [A | I] from the basis of the artificial unit
+    columns (ids n and up), which may not enter; then pivot them out."""
     m, n = A.shape
-    state = _SimplexState(basis=[n + i for i in range(m)], inverse=np.eye(m))
+    state = _SimplexState(basis=list(range(n, n + m)), inverse=np.eye(m))
     phase1 = np.concatenate([np.zeros(n), np.ones(m)])
-    xB, _ = _pivot_loop(_DenseColumns(A), b, phase1, state, np.ones(n, dtype=bool))
+    xB, _ = _pivot_loop(_DenseColumns(np.hstack([A, np.eye(m)])), b, phase1, state,
+                        np.arange(n + m) < n)
     infeas = sum(xB[p] for p in range(m) if state.basis[p] >= n)
     if infeas > 1e-9:
         raise SolverError(f"phase-1 infeasibility {infeas:.3e}")
@@ -920,18 +885,14 @@ def solve_model(model: PolytopeModel, cost_vector: np.ndarray,
 # vertex test
 # ---------------------------------------------------------------------------
 
-def is_vertex(plan: Coupling, constraints) -> bool:
-    """True iff the constraint columns active on the support are independent.
+def is_vertex(plan: Coupling, measures: list[DiscreteMeasure]) -> bool:
+    """True iff the transport columns active on the support are independent.
 
-    `constraints` is a PolytopeModel or the list of marginals of the
-    standard problem, whose columns stay implicit.
+    `measures` are the marginals of the standard problem; the plan must
+    match them.
     """
-    if isinstance(constraints, PolytopeModel):
-        constraints.check_feasible(plan)
-        columns = _DenseColumns(constraints.A)
-    else:
-        check_marginals(plan, [((k,), m.weights) for k, m in enumerate(constraints)])
-        columns = _TransportColumns([m.weights for m in constraints])
+    check_marginals(plan, [((k,), m.weights) for k, m in enumerate(measures)])
+    columns = _TransportColumns([m.weights for m in measures])
     support = plan.support()
     if not support:
         return True
@@ -947,24 +908,6 @@ def is_vertex(plan: Coupling, constraints) -> bool:
 def _vertex_key(x):
     cols = np.nonzero(x > 1e-10)[0]
     return tuple(zip(cols.tolist(), [round(v, 11) for v in x[cols].tolist()]))
-
-
-def _presolve_zero_cells(A, b):
-    """Drop columns forced to zero by zero-mass rows with one-signed support.
-
-    Such columns can enter bases only at level zero, multiplying the
-    degenerate basis graph without contributing vertices.  Row independence
-    is re-established on the reduced column space.
-    """
-    n = A.shape[1]
-    forced = np.zeros(n, dtype=bool)
-    for r in range(A.shape[0]):
-        if abs(b[r]) <= 1e-13 and (A[r] >= -1e-13).all():
-            forced |= A[r] > 1e-9
-    keep_cols = np.flatnonzero(~forced)
-    A2 = A[:, keep_cols]
-    keep_rows = _spanning_rows(A2, b)
-    return A2[keep_rows], b[keep_rows], keep_cols
 
 
 def _lex_leaving(tied, D, W):
@@ -1004,16 +947,14 @@ def _lex_leaving(tied, D, W):
     return leaving
 
 
-def enumerate_vertices(polytope):
-    """All basic feasible solutions, found by pivoting from a start basis.
+def enumerate_vertices(weights: list[np.ndarray]) -> list[np.ndarray]:
+    """All vertices of the transport polytope of the marginal `weights`.
 
-    `polytope` is a PolytopeModel or the list of marginal weight vectors of
-    a transport polytope.  A transport polytope drops its atoms of weight 0,
-    whose cells are forced to 0, and starts from the least-cost basis of the
-    zero cost over `_TransportColumns` on the rest: any feasible basis will
-    do, with no phase 1.  A PolytopeModel drops the cells its zero-mass rows
-    force to 0 (`_presolve_zero_cells`) and starts from a phase 1.  Either
-    way the vertices are vectors over the whole grid.
+    The weight vectors need not sum to 1.  Atoms of weight 0, whose cells
+    are forced to 0, are dropped; the search starts from the least-cost
+    basis of the zero cost over `_TransportColumns` on the rest: any
+    feasible basis will do, with no phase 1.  The vertices are vectors over
+    the whole grid.
 
     The search visits only lexicographically feasible bases: those of the
     perturbed right-hand side b + B0 (eps, eps^2, ...), where B0 is the
@@ -1030,20 +971,15 @@ def enumerate_vertices(polytope):
     out sorted by `_vertex_key`, each solved on the first basis that
     reaches it, columns in ascending order.
     """
-    if isinstance(polytope, PolytopeModel):
-        A, b, keep_cols = _presolve_zero_cells(polytope.A, polytope.b)
-        start = _feasible_basis(A, b).basis
-        n_cols = polytope.n_cols
-    else:
-        live = [np.flatnonzero(w > 0.0) for w in polytope]
-        weights = [w[i] for w, i in zip(polytope, live)]
-        cols = _TransportColumns(weights)
-        A, b = cols.matrix(np.arange(cols.n)), cols.b
-        start = _least_cost_basis(weights, np.zeros(cols.n))[0]
-        arities = tuple(len(w) for w in polytope)
-        keep_cols = np.ravel_multi_index(np.ix_(*live), arities).reshape(-1)
-        n_cols = math.prod(arities)
-    n = A.shape[1]
+    live = [np.flatnonzero(w > 0.0) for w in weights]
+    kept = [w[i] for w, i in zip(weights, live)]
+    cols = _TransportColumns(kept)
+    n = cols.n
+    A, b = cols.matrix(np.arange(n)), cols.b
+    start = _least_cost_basis(kept, np.zeros(n))[0]
+    arities = tuple(len(w) for w in weights)
+    keep_cols = np.ravel_multi_index(np.ix_(*live), arities).reshape(-1)
+    n_cols = math.prod(arities)
     bits = [1 << col for col in range(n)]
     seen_bases = {sum(bits[col] for col in start)}
     queue = list(seen_bases)

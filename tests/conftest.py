@@ -3,6 +3,7 @@ import pytest
 
 from momt import lp
 from momt.costs import CostSpec
+from momt.errors import InstanceTooLarge
 from momt.instance import DiscreteInstance
 from momt.measure import Coupling, DiscreteMeasure, Space
 from momt.tolerances import MASS_FLOOR
@@ -79,6 +80,83 @@ def dense_simplex(A, b, costs, basis=None):
                            np.ones(n, dtype=bool))
     x = lp._basic_solution(xB, state, n)
     return x, y * np.where(neg, -1.0, 1.0), state.iterations
+
+
+def _presolve_zero_cells(A, b):
+    """Drop the cells that zero-mass rows with one-signed support force to 0,
+    then the rows the remaining columns no longer span; such a row's
+    right-hand side must be 0, or the system is infeasible."""
+    forced = np.zeros(A.shape[1], dtype=bool)
+    for r in range(A.shape[0]):
+        if abs(b[r]) <= 1e-13 and (A[r] >= -1e-13).all():
+            forced |= A[r] > 1e-9
+    keep_cols = np.flatnonzero(~forced)
+    A = A[:, keep_cols]
+    keep_rows = lp._spanning_rows(A)
+    dropped = np.delete(b, keep_rows)
+    assert np.abs(dropped).max(initial=0.0) <= 1e-9, "zero-support row with mass"
+    return A[keep_rows], b[keep_rows], keep_cols
+
+
+def every_basis_vertices(model, max_bases=200_000):
+    """Vertices of a dense `lp.PolytopeModel`, found by pivoting through
+    every feasible basis from a phase-1 start: the oracle for the
+    lexicographic search of `lp.enumerate_vertices`.
+
+    Each entering column may leave on any row that ties the ratio test, so
+    every basis of a degenerate vertex is visited.  Vertices come out
+    sorted by `lp._vertex_key`.
+    """
+    A, b, keep_cols = _presolve_zero_cells(model.A, model.b)
+    m, n = A.shape
+    start = tuple(sorted(lp._feasible_basis(A, b).basis))
+    seen_bases = {start}
+    queue = [start]
+    vertices = {}
+    while queue:
+        if len(seen_bases) > max_bases:
+            raise InstanceTooLarge(f"basis graph exceeded {max_bases} bases")
+        basis = list(queue.pop())
+        B = A[:, basis]
+        xB = np.linalg.solve(B, b)
+        x = np.zeros(model.n_cols)
+        for p, col in enumerate(basis):
+            x[keep_cols[col]] = max(xB[p], 0.0)
+        vertices.setdefault(lp._vertex_key(x), x)
+        in_basis = set(basis)
+        directions = np.linalg.solve(B, A)
+        for e in range(n):
+            if e in in_basis:
+                continue
+            d = directions[:, e]
+            pos = d > lp.RATIO_TOL
+            if not pos.any():
+                continue
+            ratios = np.full(m, np.inf)
+            ratios[pos] = np.maximum(xB[pos], 0.0) / d[pos]
+            rmin = ratios.min()
+            for p in np.flatnonzero(ratios <= rmin + 1e-10 * (1.0 + rmin)):
+                nb = basis.copy()
+                nb[p] = e
+                key = tuple(sorted(nb))
+                if key not in seen_bases:
+                    seen_bases.add(key)
+                    queue.append(key)
+    return [vertices[k] for k in sorted(vertices)]
+
+
+def pair_model(xy, xz):
+    """Dense model of the three-axis plans whose (0, 1) and (0, 2)
+    restrictions are the arrays `xy` and `xz`."""
+    return lp.PolytopeModel(xy.shape + xz.shape[1:], [((0, 1), xy), ((0, 2), xz)])
+
+
+def dense_is_vertex(plan: Coupling, model) -> bool:
+    """The vertex test on a dense `lp.PolytopeModel`: the plan meets its
+    constraints and the columns of A on its support are independent."""
+    lp.check_marginals(plan, model.constraints)
+    cols = [int(np.ravel_multi_index(idx, plan.arities)) for idx in plan.support()]
+    return np.linalg.matrix_rank(model.A[:, cols], tol=lp.VERTEX_PIVOT_TOL) == len(cols)
 
 
 def twin_surplus_instance(seed, n=8):

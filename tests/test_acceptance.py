@@ -24,7 +24,8 @@ from momt.twomap import (
     product_rows,
     unique_condition,
 )
-from conftest import dense_window_scan, two_map_restriction
+from conftest import (dense_window_scan, every_basis_vertices, pair_model,
+                      two_map_restriction)
 
 
 def _verdict(name, ok, detail):
@@ -151,12 +152,8 @@ def test_criterion_04_gluing_uniqueness():
         right_dense = right_dense * (w / right_dense.sum(1))[:, None]
         right = Coupling.from_dense(right_dense)
         glued = glue(left, right)
-        model = lp.PolytopeModel(
-            (n, ny, nz),
-            [lp.MarginalConstraint((0, 1), left.to_dense()),
-             lp.MarginalConstraint((0, 2), right.to_dense())],
-        )
-        vertices = lp.enumerate_vertices(model)
+        model = pair_model(left.to_dense(), right.to_dense())
+        vertices = every_basis_vertices(model)
         assert len(vertices) == 1, (i, len(vertices))
         only = vertices[0].reshape(n, ny, nz)
         assert np.abs(glued.to_dense() - only).max() < 1e-10, i
@@ -190,12 +187,8 @@ def test_criterion_05_two_map_machinery():
         mu = DiscreteMeasure(X, np.array([1.0]))
         xy = two_map_restriction(np.array([alpha]), lower.T1, lower.T2, mu, 2)
         xz = two_map_restriction(np.array([beta]), lower.G1, lower.G2, mu, 2)
-        model = lp.PolytopeModel(
-            (1, 2, 2),
-            [lp.MarginalConstraint((0, 1), xy.to_dense()),
-             lp.MarginalConstraint((0, 2), xz.to_dense())],
-        )
-        vertices = lp.enumerate_vertices(model)
+        model = pair_model(xy.to_dense(), xz.to_dense())
+        vertices = every_basis_vertices(model)
         assert len(vertices) == 2, (alpha, beta, len(vertices))
         got = {tuple(sorted(Coupling.from_dense(v.reshape(1, 2, 2)).entries))
                for v in vertices}

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import momt
-from momt.cli import _worker_count, instance_to_dict, load_instance_dict, main
-from momt.errors import SchemaError
+from momt import lp
+from momt.cli import (_worker_count, instance_to_dict, load_instance, load_instance_dict,
+                      main)
+from momt.errors import SchemaError, SolverError
 from momt.serialize import dump_text, format_float
 from momt.tolerances import MASS_FLOOR
 
@@ -67,13 +69,19 @@ def test_solve_writes_result(tmp_path, capsys):
     ("spaces", [3, {"name": "Y", "points": [[0.0], [1.0]]}], "spaces[0]"),
     ("spaces", [{"name": "X", "points": [[0.0], [1.0]]},
                 {"name": "Y", "points": [[float("nan")], [1.0]]}], "spaces[1]"),
-], ids=["sum", "strings", "nan-weight", "space-not-object", "nan-point"])
+    ("spaces", [], "spaces"),
+    ("weights", [[0.5, 0.5]], "weights"),
+    ("weights", [[1.5, -0.5], [0.5, 0.5]], "weights[0]"),
+    ("cost", {"builtin": "tensor"}, "cost.builtin"),
+    ("cost", {"builtin": "gromovWasserstein", "xi": [1.0], "A": [[1.0]]}, "cost.xi"),
+], ids=["sum", "strings", "nan-weight", "space-not-object", "nan-point", "no-spaces",
+        "weight-count", "negative-weight", "builtin-tensor", "xi-list"])
 def test_malformed_weights_exit_2(tmp_path, capsys, field, value, where):
     bad = dict(TWO_BY_TWO)
     bad[field] = value
     path = _write(tmp_path, bad)
     assert main(["solve", path]) == 2
-    assert where in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
 
 
 @pytest.mark.filterwarnings("error")
@@ -110,6 +118,47 @@ def test_overflowing_cost_span_exit_3_without_warnings(tmp_path, capsys, n_axes,
 
 def test_missing_file_exit_2(capsys):
     assert main(["solve", "/nonexistent/instance.json"]) == 2
+
+
+def test_malformed_json_exit_2(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text('{"version": 1,\n "spaces": [')
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: json: line 2: ")
+
+
+def _scale_basic_solution(monkeypatch):
+    basic_solution = lp._basic_solution
+    monkeypatch.setattr(lp, "_basic_solution", lambda *args: 1.5 * basic_solution(*args))
+
+
+def _shift_second_potential(monkeypatch):
+    canonical_gauge = lp._canonical_gauge
+
+    def shifted(*args):
+        vectors = canonical_gauge(*args)
+        vectors[1] = vectors[1] + 1.0
+        return vectors
+
+    monkeypatch.setattr(lp, "_canonical_gauge", shifted)
+
+
+@pytest.mark.parametrize("fault,message", [
+    (_scale_basic_solution, "optimal basis violates marginals"),
+    (_shift_second_potential, "potentials violate dual feasibility"),
+], ids=["marginals", "dual-feasibility"])
+@pytest.mark.parametrize("doc", [TWO_BY_TWO, dict(THREE_MARGINAL, sense="min")],
+                         ids=["N2", "N3"])
+def test_solve_guards_exit_3(tmp_path, capsys, monkeypatch, fault, message, doc):
+    # a fault injected past the simplex must trip solve's own checks
+    path = _write(tmp_path, doc)
+    fault(monkeypatch)
+    with pytest.raises(SolverError, match=message):
+        lp.solve(load_instance(path))
+    assert main(["solve", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"solver error: {message} by ") and err.count("\n") == 1
 
 
 def test_schema_version_checked(tmp_path, capsys):

