@@ -104,3 +104,18 @@ def test_is_vertex_on_marginals_matches_the_dense_model(n_axes):
             seen.add(implicit)
     assert seen == {True, False}
 
+
+def test_solve_and_is_vertex_build_no_dense_model(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense model built or phase 1 run")
+
+    monkeypatch.setattr(lp.PolytopeModel, "__init__", refuse)
+    monkeypatch.setattr(lp._DenseColumns, "__init__", refuse)
+    for name in ("standard_model", "solve_model", "_feasible_basis"):
+        monkeypatch.setattr(lp, name, refuse)
+    for seed in range(6):
+        inst = random_instance(seed + 60, n_axes=2 + seed % 4, max_atoms=5,
+                               sense=("min", "max")[seed % 2], uniform=seed % 3 == 0)
+        res = lp.solve(inst)
+        assert lp.is_vertex(res.plan, inst.measures)
+        lp.uniqueness_certificate(inst, res)

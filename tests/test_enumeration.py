@@ -106,12 +106,6 @@ def test_oracle_and_two_map_demo_build_no_dense_model_and_run_no_phase_one(
     for n in (0, 4):
         report = run_scenario(ScenarioConfig("twoMapDemo", seed=5, sizes=(n,) if n else ()))
         assert report["passed"]
-    for seed in range(6):
-        inst = random_instance(seed + 60, n_axes=2 + seed % 4, max_atoms=5,
-                               sense=("min", "max")[seed % 2], uniform=seed % 3 == 0)
-        res = lp.solve(inst)
-        assert lp.is_vertex(res.plan, inst.measures)
-        lp.uniqueness_certificate(inst, res)
     path = _write(tmp_path, THREE_MARGINAL)
     commands = [["solve", path], ["solve", path, "--oracle"], ["diagnose", path],
                 ["reduce", path, "--subset", "1,2"]]
