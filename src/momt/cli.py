@@ -213,11 +213,10 @@ def cmd_solve(args) -> int:
     res = lp.solve(instance)
     certificates = {}
     if args.oracle:
-        verts = lp.oracle_enumerate(instance)
-        values = [v for _, v in verts]
+        values = [v for _, v in lp.oracle_vertices(instance)]
         best = min(values) if instance.sense == "min" else max(values)
         certificates["oracle"] = {
-            "vertices": len(verts),
+            "vertices": len(values),
             "optimum": float(best),
             "agreement_gap": abs(float(best) - res.value),
             "agrees": abs(float(best) - res.value) <= args.tol,

@@ -35,12 +35,15 @@ without an LP of its own.
 Maximization instances are negated internally and the sense is restored in
 all reported quantities.  Everything is deterministic.
 
-The vertex oracle (`enumerate_vertices`, `oracle_enumerate`) pivots through
-the lexicographically feasible bases of a polytope, one leaving row per
-entering column, and so reaches every vertex without visiting every basis
-of a degenerate one.  A transport polytope, given by its marginals' weight
-vectors, keeps its columns in `_TransportColumns` and starts from the
-least-cost basis, with no phase 1.
+The vertex oracle (`enumerate_vertices`, `oracle_vertices`,
+`oracle_enumerate`) pivots through the lexicographically feasible bases of
+a transport polytope, one leaving row per entering column, and so reaches
+every vertex without visiting every basis of a degenerate one.  It keeps
+the columns in `_TransportColumns`, starts from the least-cost basis with
+no phase 1, and searches breadth first: each frontier of bases is solved
+by one stacked LAPACK call, and its ratio tests are array passes.  A
+degenerate vertex is solved on the least of its bases, so the vertices do
+not depend on the visiting order.
 
 The dense model (`PolytopeModel`, `standard_model`, `solve_model`) keeps
 an explicit matrix of marginal-type constraints and starts from a phase 1
@@ -80,6 +83,7 @@ from .tolerances import (
 
 GRID_CAP = 200_000
 MAX_BASES = 200_000     # lexicographically feasible bases the oracle visits
+_BASIS_BLOCK = 1_024    # bases per stacked solve of the vertex search
 ORACLE_GRID_CAP = 81
 ORACLE_ATOM_CAP = 12
 
@@ -704,11 +708,17 @@ class SolveResult:
     second_vertex: np.ndarray | None = None
 
 
-def _coupling_from_x(x: np.ndarray, arities: tuple[int, ...]) -> Coupling:
-    """Prune simplex dust and renormalize the sub-1e-9 total-mass drift."""
+def _probability_mass(x: np.ndarray) -> float:
+    """The total of x, which must be 1 within 1e-9 (else SolverError)."""
     total = float(x.sum())
     if abs(total - 1.0) > 1e-9:
         raise SolverError(f"solution mass {total!r} is not a probability")
+    return total
+
+
+def _coupling_from_x(x: np.ndarray, arities: tuple[int, ...]) -> Coupling:
+    """Prune simplex dust and renormalize the sub-1e-9 total-mass drift."""
+    total = _probability_mass(x)
     cols = np.flatnonzero(x > MASS_FLOOR)
     idx = zip(*(i.tolist() for i in np.unravel_index(cols, arities)))
     return Coupling(arities, dict(zip(idx, (x[cols] / total).tolist())))
@@ -910,15 +920,16 @@ def _vertex_key(x):
     return tuple(zip(cols.tolist(), [round(v, 11) for v in x[cols].tolist()]))
 
 
-def _lex_leaving(tied, D, W):
+def _lex_leaving(tied, D, W, owner=None):
     """Leaving row of each column of D under the lexicographic ratio test.
 
     `tied` marks, per column d of D, the rows whose ratio x_B / d ties the
     minimum.  Ties are broken on W[:, 0] / d, then W[:, 1] / d, and so on,
     where W = B^-1 B0 for an anchor basis B0: this is the ratio test of the
     right-hand side b + B0 (eps, eps^2, ...), and as W is nonsingular it
-    leaves one row.  W may hold just the rows of D, in the same order.  Some
-    column must have more than one tied row.
+    leaves one row.  W may hold just the rows of D, in the same order.  With
+    `owner`, W is a stack, one per basis, and column c is tested against
+    W[owner[c]].  Some column must have more than one tied row.
 
     The tied rows of all open columns are packed side by side (NaN pads a
     column's missing rows); each round drops, in every column still open,
@@ -930,17 +941,21 @@ def _lex_leaving(tied, D, W):
     sub = tied[:, cols].T
     g, p = np.nonzero(sub)
     r = (np.cumsum(sub, axis=1) - 1)[g, p]          # place among its column's ties
-    ratios = np.full((cols.size, counts[cols].max(), W.shape[1]), np.nan)
-    ratios[g, r] = W[p] / D[p, cols[g]][:, None]
+    ratios = np.full((cols.size, counts[cols].max(), W.shape[-1]), np.nan)
+    Wp = W[p] if owner is None else W[owner[cols[g]], p]
+    ratios[g, r] = Wp / D[p, cols[g]][:, None]
+    split = np.arange(cols.size)                    # the columns still open
     while True:
-        low = np.fmin.reduce(ratios, axis=1)
+        opened = ratios[split]
+        low = np.fmin.reduce(opened, axis=1)
         tol = _LEX_TOL * (1.0 + np.abs(low))
-        differs = np.fmax.reduce(ratios, axis=1) - low > tol
-        split = np.flatnonzero(differs.any(axis=1))
-        if not split.size:
+        differs = np.fmax.reduce(opened, axis=1) - low > tol
+        more = np.flatnonzero(differs.any(axis=1))
+        if not more.size:
             break
-        j = np.argmax(differs[split], axis=1)
-        gs, rs = np.nonzero(ratios[split, :, j] > (low + tol)[split, j][:, None])
+        j = np.argmax(differs[more], axis=1)
+        gs, rs = np.nonzero(opened[more, :, j] > (low + tol)[more, j][:, None])
+        split = split[more]
         ratios[split[gs], rs] = np.nan
     first = np.argmax(~np.isnan(ratios[:, :, 0]), axis=1)
     leaving[cols] = p[r == first[g]]
@@ -964,71 +979,102 @@ def enumerate_vertices(weights: list[np.ndarray]) -> list[np.ndarray]:
     row (`_lex_leaving`), its bases form a connected graph, and every
     vertex of the polytope is the limit of one of its vertices (the
     perturbation argument of Avis-Fukuda reverse search).  So a degenerate
-    vertex is reached through some of its bases, not all of them.  The
-    ratio tests of all entering columns of a basis run as one array pass.
-    Bases are kept as bitmasks of their columns; more than MAX_BASES
-    lexicographically feasible bases raise InstanceTooLarge.  Vertices come
-    out sorted by `_vertex_key`, each solved on the first basis that
-    reaches it, columns in ascending order.
+    vertex is reached through some of its bases, not all of them.
+
+    The search is breadth first, a frontier of bases at a time, in blocks of
+    at most _BASIS_BLOCK bases.  One stacked `np.linalg.solve` gives every
+    basic solution B^-1 b of a block and one more every B^-1 A; each item
+    is the LAPACK call a single basis would make, so the bits do not depend
+    on the stacking.  The ratio tests of all (basis, entering column) pairs
+    run as array passes, and `_lex_leaving` breaks the ties of the whole
+    block at once.  A basis is known by the bitmask of its columns; more
+    than MAX_BASES lexicographically feasible bases raise InstanceTooLarge.
+    A vertex is known by its support.  A nondegenerate one has one basis; a
+    degenerate one is solved on the least of its bases by bitmask, which
+    the search reaches whatever its order.  Vertices come out sorted by
+    `_vertex_key`.
     """
-    live = [np.flatnonzero(w > 0.0) for w in weights]
+    live = [(w > 0.0).nonzero()[0] for w in weights]
     kept = [w[i] for w, i in zip(weights, live)]
     cols = _TransportColumns(kept)
     n = cols.n
     A, b = cols.matrix(np.arange(n)), cols.b
-    start = _least_cost_basis(kept, np.zeros(n))[0]
-    arities = tuple(len(w) for w in weights)
-    keep_cols = np.ravel_multi_index(np.ix_(*live), arities).reshape(-1)
-    n_cols = math.prod(arities)
+    anchor = _least_cost_basis(kept, np.zeros(n))[0]
+    keep_cols = live[0]                      # the grid cell of each kept column
+    for w, i in zip(weights[1:], live[1:]):
+        keep_cols = np.add.outer(keep_cols * len(w), i)
+    keep_cols = keep_cols.reshape(-1)
     bits = [1 << col for col in range(n)]
-    seen_bases = {sum(bits[col] for col in start)}
-    queue = list(seen_bases)
-    vertices: dict[tuple, np.ndarray] = {}
-    while queue:
-        if len(seen_bases) > MAX_BASES:
-            raise InstanceTooLarge(
-                f"basis graph exceeded {MAX_BASES} bases during enumeration"
-            )
-        key = queue.pop()
-        basis = [col for col in range(n) if key & bits[col]]
-        B = A[:, basis]
-        xB = np.linalg.solve(B, b)
-        xB = np.where(0.0 > xB, 0.0, xB)          # Python's max(xB, 0.0): keeps -0.0
-        x = np.zeros(n_cols)
-        x[keep_cols[basis]] = xB
-        vertices.setdefault(_vertex_key(x), x)
-        directions = np.linalg.solve(B, A)
-        top = directions.max(axis=0)
-        top[basis] = 0.0                          # basic columns do not enter
-        entering = np.flatnonzero(top > RATIO_TOL)
-        D = directions[:, entering]
-        pos = D > RATIO_TOL
-        ratios = np.divide(xB[:, None], D, out=np.full(D.shape, np.inf), where=pos)
-        rmin = ratios.min(axis=0)
-        tied = ratios <= rmin + 1e-10 * (1.0 + rmin)
-        if tied.sum(axis=0).max(initial=0) > 1:
-            leaving = _lex_leaving(tied, D, directions[:, start])
-        else:
-            leaving = np.argmax(tied, axis=0)
-        fresh = [key ^ bits[basis[p]] | bits[e]
-                 for e, p in zip(entering.tolist(), leaving.tolist())]
-        fresh = [nb for nb in fresh if nb not in seen_bases]
-        seen_bases.update(fresh)
-        queue.extend(fresh)
-    return [vertices[k] for k in sorted(vertices)]
+    keys = [sum(bits[col] for col in anchor)]
+    bases = [sorted(anchor)]                 # the columns of each basis, ascending
+    seen = set(keys)
+    best = {}                                # support -> (key, basis, x_B)
+    while keys:
+        next_keys, next_bases = [], []
+        for lo in range(0, len(keys), _BASIS_BLOCK):
+            block, rows = keys[lo:lo + _BASIS_BLOCK], bases[lo:lo + _BASIS_BLOCK]
+            basic = np.array(rows)
+            B = A.T[basic].transpose(0, 2, 1)
+            xB = np.linalg.solve(B, b)
+            if xB.min() > 1e-10:      # nondegenerate: each basis is its own support
+                supports = block
+            else:
+                xB = np.where(0.0 > xB, 0.0, xB)  # Python's max(xB, 0.0): keeps -0.0
+                supports = map(frozenset, np.where(xB > 1e-10, basic, -1).tolist())
+            for i, (key, support) in enumerate(zip(block, supports)):
+                held = best.get(support)
+                if held is None or key < held[0]:
+                    best[support] = (key, rows[i], xB[i])
+            directions = np.linalg.solve(B, A)
+            top = directions.max(axis=1)
+            top[np.arange(len(rows))[:, None], basic] = 0.0   # basic columns do not enter
+            at, entering = np.nonzero(top > RATIO_TOL)
+            D = directions[at, :, entering]          # one row per (basis, entering) pair
+            ratios = np.divide(xB[at], D, out=np.full(D.shape, np.inf),
+                               where=D > RATIO_TOL)
+            rmin = ratios.min(axis=1, keepdims=True)
+            tied = ratios <= rmin + 1e-10 * (1.0 + rmin)
+            if np.count_nonzero(tied) > len(at):
+                leaving = _lex_leaving(tied.T, D.T, directions[:, :, anchor], at)
+            else:
+                leaving = tied.argmax(axis=1)
+            for i, p, e in zip(at.tolist(), leaving.tolist(), entering.tolist()):
+                row = rows[i]
+                key = block[i] ^ bits[row[p]] | bits[e]
+                if key not in seen:
+                    seen.add(key)
+                    next_keys.append(key)
+                    row = row.copy()
+                    row[p] = e
+                    row.sort()
+                    next_bases.append(row)
+            if len(seen) > MAX_BASES:
+                raise InstanceTooLarge(
+                    f"basis graph exceeded {MAX_BASES} bases during enumeration"
+                )
+        keys, bases = next_keys, next_bases
+    held = list(best.values())
+    X = np.zeros((len(held), math.prod(len(w) for w in weights)))
+    cells = keep_cols[[basis for _, basis, _ in held]]
+    X[np.arange(len(held))[:, None], cells] = [xB for _, _, xB in held]
+    return sorted(X, key=_vertex_key)
 
 
-def oracle_enumerate(instance: DiscreteInstance) -> list[tuple[Coupling, float]]:
-    """Exhaustively enumerate polytope vertices of a small instance.
+def oracle_vertices(instance: DiscreteInstance) -> list[tuple[np.ndarray, float]]:
+    """Every polytope vertex of a small instance with its objective value.
 
     Hard caps keep this honest: at most 81 grid cells and 12 atoms in total.
     MAX_BASES bounds the lexicographically feasible bases the search
     discovers (`enumerate_vertices`); past it InstanceTooLarge is raised.
     A vertex with generic weights has one such basis, so an instance with
-    more than MAX_BASES vertices raises: random-weight 6x6 tensor,
-    3x3x3x3 surplus and 4x4x4 tensor instances do, after a few seconds.
-    Degenerate weights give fewer vertices; the 5x5 uniform-weight
-    instance has 120 vertices and 15 000 such bases, and finishes.
+    more than MAX_BASES vertices raises: random-weight 3x3x3x3 and 4x4x4
+    instances do after 1-2 seconds (2 shared CPUs), and random-weight 6x6
+    ones, with 120 000 vertices or more, finish or raise after 6-12
+    seconds.  Degenerate weights give fewer vertices; the 5x5
+    uniform-weight instance has 120 vertices and 15 000 such bases, and
+    finishes in about a second.  Each vertex is a flat vector over the grid
+    whose mass must be 1 within 1e-9 (else SolverError); no Coupling is
+    built, so `momt solve --oracle` pays only for the count and the values.
     """
     arities = instance.arities
     if int(np.prod(arities)) > ORACLE_GRID_CAP or sum(arities) > ORACLE_ATOM_CAP:
@@ -1037,10 +1083,16 @@ def oracle_enumerate(instance: DiscreteInstance) -> list[tuple[Coupling, float]]
             f"got {arities}"
         )
     grid = instance.cost_grid().reshape(-1)
-    return [
-        (_coupling_from_x(x, arities), float(grid @ x))
-        for x in enumerate_vertices([m.weights for m in instance.measures])
-    ]
+    vertices = enumerate_vertices([m.weights for m in instance.measures])
+    for x in vertices:
+        _probability_mass(x)
+    return [(x, float(grid @ x)) for x in vertices]
+
+
+def oracle_enumerate(instance: DiscreteInstance) -> list[tuple[Coupling, float]]:
+    """`oracle_vertices` with each vertex as a Coupling."""
+    return [(_coupling_from_x(x, instance.arities), value)
+            for x, value in oracle_vertices(instance)]
 
 
 # ---------------------------------------------------------------------------

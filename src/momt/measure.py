@@ -192,6 +192,11 @@ class Coupling:
         keys = set(self.entries) | set(other.entries)
         return 0.5 * sum(abs(self.mass_at(k) - other.mass_at(k)) for k in keys)
 
+    def is_graph(self) -> bool:
+        """True iff no two entries share an axis-0 atom: every fiber over
+        axis 0 is one cell, and the plan is the graph of a map."""
+        return len({idx[0] for idx in self.entries}) == len(self.entries)
+
     def fibers(self, axis: int) -> dict[int, dict[tuple[int, ...], float]]:
         """Per axis-atom conditional masses over the complementary multi-index."""
         out: dict[int, dict[tuple[int, ...], float]] = {}

@@ -410,7 +410,7 @@ def run_nested_shells(config: ScenarioConfig) -> dict:
 
     red = reduce(inst, res.potentials, (0, 1))
     red_sol = lp.solve(red.instance)
-    red_graph = all(len(f) == 1 for f in red_sol.plan.fibers(0).values())
+    red_graph = red_sol.plan.is_graph()
 
     normals = meta["normals"].vectors
     by_z: dict[int, list] = {}
@@ -479,15 +479,15 @@ def gen_gangbo_swiech(config: ScenarioConfig):
 def run_gangbo_swiech(config: ScenarioConfig) -> dict:
     inst = gen_gangbo_swiech(config)
     res = lp.solve(inst)
-    graph_full = all(len(f) == 1 for f in res.plan.fibers(0).values())
+    graph_full = res.plan.is_graph()
 
     reduced_graph = {}
     reduced_monotone = {}
     degenerate = False
     pairs = solve_pair_reductions(inst, res.potentials)
     for j, (red, rsol) in pairs.items():
-        ok = all(len(f) == 1 for f in rsol.plan.fibers(0).values())
-        reduced_graph[str(j)] = bool(ok)
+        ok = rsol.plan.is_graph()
+        reduced_graph[str(j)] = ok
         mono = check_cyclical_monotonicity(rsol.plan.support(), red.reduced_cost,
                                            rsol.potentials)
         reduced_monotone[str(j)] = bool(mono.passed)
@@ -583,9 +583,9 @@ def run_monge_quadratic(config: ScenarioConfig) -> dict:
             "passed": False,
         }
     res = lp.solve(inst)
-    graph_full = all(len(f) == 1 for f in res.plan.fibers(0).values())
+    graph_full = res.plan.is_graph()
     reduced_graph = {
-        str(j): bool(all(len(f) == 1 for f in rsol.plan.fibers(0).values()))
+        str(j): rsol.plan.is_graph()
         for j, (_, rsol) in solve_pair_reductions(inst, res.potentials).items()
     }
     mono = check_cyclical_monotonicity(res.plan.support(), inst.cost_grid(),

@@ -18,7 +18,7 @@ from momt.errors import InstanceTooLarge
 from momt.scenarios import ScenarioConfig, run_scenario
 from conftest import every_basis_vertices, pair_model, random_instance, tensor_instance
 from test_acceptance import criterion_03_instances
-from test_cli import THREE_MARGINAL, _write
+from test_cli import THREE_MARGINAL, TWO_BY_TWO, _write
 from test_simplex import point_instance
 
 
@@ -79,6 +79,60 @@ def test_two_map_polytope_vertices_match_every_basis_search(monkeypatch, n):
     for target_xy, target_xz, vertices in calls:
         got = sorted((v.reshape(-1) for v in vertices), key=lp._vertex_key)
         assert_vertices_match(got, every_basis_vertices(pair_model(target_xy, target_xz)))
+
+
+@pytest.mark.parametrize("arities", [(4, 4), (2, 3, 2), (3, 4)], ids=str)
+def test_generic_vertices_are_bitwise_those_of_every_basis_search(arities):
+    # a vertex of generic weights has one basis, solved by the same LAPACK
+    # call whether its frontier is stacked or not
+    for seed in range(20):
+        rng = np.random.default_rng([seed, *arities])
+        weights = [rng.dirichlet(np.ones(n)) for n in arities]
+        inst = tensor_instance(np.zeros(arities), weights)
+        got = lp.enumerate_vertices([m.weights for m in inst.measures])
+        want = every_basis_vertices(lp.standard_model(inst.measures))
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want], seed
+
+
+@pytest.mark.parametrize("arities", [(4, 4), (2, 3, 3)], ids=str)
+def test_degenerate_vertices_do_not_depend_on_the_block_size(monkeypatch, arities):
+    # a frontier is solved in stacked blocks; how it is cut into blocks must
+    # not move a degenerate vertex, which is solved on its least basis
+    weights = [m.weights for m in tensor_instance(np.zeros(arities)).measures]
+    want = lp.enumerate_vertices(weights)
+    monkeypatch.setattr(lp, "_BASIS_BLOCK", 7)
+    got = lp.enumerate_vertices(weights)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_solve_oracle_builds_one_coupling(monkeypatch, tmp_path):
+    # the oracle's vertices give a count and values; only the solve's own
+    # plan becomes a Coupling
+    calls = []
+    coupling_from_x = lp._coupling_from_x
+
+    def counted(*args):
+        calls.append(args)
+        return coupling_from_x(*args)
+
+    monkeypatch.setattr(lp, "_coupling_from_x", counted)
+    path = _write(tmp_path, TWO_BY_TWO)
+    assert cli.main(["solve", path, "--oracle", "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_solve_oracle_still_checks_vertex_mass(monkeypatch, tmp_path, capsys):
+    enumerate_vertices = lp.enumerate_vertices
+
+    def off_by_1e6(weights):
+        vertices = enumerate_vertices(weights)
+        vertices[-1] = vertices[-1] * (1.0 + 1e-6)
+        return vertices
+
+    monkeypatch.setattr(lp, "enumerate_vertices", off_by_1e6)
+    path = _write(tmp_path, TWO_BY_TWO)
+    assert cli.main(["solve", path, "--oracle"]) == 3
+    assert "is not a probability" in capsys.readouterr().err
 
 
 def test_uniform_square_visits_few_bases_on_transport_columns(monkeypatch):

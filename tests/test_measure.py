@@ -192,6 +192,21 @@ def test_from_dense_matches_the_cell_loop():
         assert _outcome(build, None, dense) == _outcome(loop, None, dense)
 
 
+def test_is_graph_matches_single_cell_fibers():
+    rng = np.random.default_rng(4)
+    outcomes = set()
+    for arities in [(3, 4), (4, 2, 3)]:
+        for _ in range(40):
+            x = rng.uniform(size=arities) * (rng.uniform(size=arities) < 0.25)
+            if not x.any():
+                continue
+            plan = Coupling.from_dense(x / x.sum())
+            want = all(len(f) == 1 for f in plan.fibers(0).values())
+            assert plan.is_graph() == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 def test_product_coupling_marginalizes_to_product():
     dense = np.full((2, 2, 2), 1 / 8)
     plan = Coupling.from_dense(dense)

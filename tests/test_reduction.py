@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +13,7 @@ from momt.errors import (
     SubsetTooSmall,
 )
 from momt.instance import DiscreteInstance
-from momt.measure import DiscreteMeasure, Space, pushforward
+from momt.measure import Coupling, DiscreteMeasure, Space, pushforward
 from momt.reduction import (
     IndexSubset,
     reconstruct_from_pair_reductions,
@@ -268,6 +269,19 @@ def test_not_a_graph_error_names_axis():
         assert err.axis in (1, 2)
     # zero cost may also reconstruct if the solver happens to pick graphs;
     # either outcome is legitimate for a fully degenerate instance
+
+
+def test_not_a_graph_names_the_first_split_atom():
+    # atoms 2 and 1 both split; 2 comes first in the plan's entries
+    inst = tensor_instance(np.random.default_rng(6).uniform(size=(3, 3, 3)))
+    res = lp.solve(inst)
+    pairs = solve_pair_reductions(inst, res.potentials)
+    red, sol = pairs[1]
+    split = Coupling((3, 3), {(2, 0): 0.25, (1, 0): 0.25, (1, 2): 0.25, (2, 1): 0.25})
+    pairs[1] = (red, dataclasses.replace(sol, plan=split))
+    with pytest.raises(NotAGraph) as err:
+        reconstruct_from_pair_reductions(inst, pairs, res.plan)
+    assert (err.value.axis, err.value.atom) == (1, 2)
 
 
 def test_universal_pushforward_optimality():
