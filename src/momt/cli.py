@@ -40,7 +40,7 @@ from .extremality import check_c_extreme, check_cyclical_monotonicity, fiber_rep
 from .instance import DiscreteInstance
 from .measure import DiscreteMeasure, Space
 from .reduction import IndexSubset, verify_reduction_optimality
-from .scenarios import ALIASES, SCENARIO_KINDS, ScenarioConfig, run_scenario
+from .scenarios import ALIASES, ScenarioConfig, run_scenario
 from .serialize import dump_text, write_csv
 from .tolerances import GAP_TOL
 
@@ -320,12 +320,6 @@ def _scenario_csvs(report: dict, base: str):
                   report["windows"])
 
 
-def _run_one_seed(payload):
-    kind, seed, sizes, dim = payload
-    config = ScenarioConfig(kind, seed=seed, sizes=sizes, dimension=dim)
-    return seed, run_scenario(config)
-
-
 def _worker_count(n_jobs: int) -> int:
     """MOMT_THREADS (default: every core), clamped to 1..cores and the jobs."""
     cores = os.cpu_count() or 1
@@ -338,27 +332,25 @@ def _worker_count(n_jobs: int) -> int:
 
 
 def cmd_scenario(args) -> int:
-    kind = ALIASES.get(args.kind, args.kind)
-    if kind not in SCENARIO_KINDS:
-        raise SchemaError("kind", f"unknown scenario {args.kind!r}")
     sizes = (args.n,) if args.n else ()
-    seeds = [args.seed or 0]
+    seeds = [args.seed]
     if args.seeds:
         try:
             seeds = [int(s) for s in args.seeds.split(",")]
         except ValueError as exc:
             raise SchemaError("--seeds", f"not a comma-separated seed list: {args.seeds!r}") from exc
-    jobs = [(kind, s, sizes, args.d or 0) for s in seeds]
-    if len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=_worker_count(len(jobs))) as pool:
-            results = list(pool.map(_run_one_seed, jobs))
+    # every config is checked before the first run starts
+    configs = [ScenarioConfig(args.kind, seed=s, sizes=sizes, dimension=args.d)
+               for s in sorted(seeds)]
+    if len(configs) > 1:
+        with ProcessPoolExecutor(max_workers=_worker_count(len(configs))) as pool:
+            reports = list(pool.map(run_scenario, configs))
     else:
-        results = [_run_one_seed(jobs[0])]
-    results.sort(key=lambda kv: kv[0])
+        reports = [run_scenario(configs[0])]
     # a study that fails its checks says so in its report, not in the exit code
-    for seed, report in results:
+    for config, report in zip(configs, reports):
         if args.out:
-            base = os.path.join(args.out, f"{kind}_seed{seed}")
+            base = os.path.join(args.out, f"{config.kind}_seed{config.seed}")
             os.makedirs(args.out, exist_ok=True)
             with open(base + ".json", "w", encoding="utf-8") as fh:
                 fh.write(dump_text(report))

@@ -20,6 +20,33 @@ from .errors import (
 from .tolerances import GLUE_MARGINAL_TOL, MASS_FLOOR, STORAGE_TOL
 
 
+def _closest_pair(pts: np.ndarray) -> tuple[float, int, int]:
+    """(distance, i, j) of the closest two rows within STORAGE_TOL, with i < j
+    and the least (i, j) on ties; (inf, -1, -1) if no two rows are that close.
+
+    Sorted on their widest coordinate, rows k places apart are compared for
+    k = 1, 2, ... until every gap in that coordinate exceeds the tolerance:
+    two rows within it are within it on every coordinate.  Memory is O(n d).
+    """
+    best = (np.inf, -1, -1)
+    with np.errstate(over="ignore"):     # an overflowing distance is just a large one
+        axis = (pts.max(axis=0) - pts.min(axis=0)).argmax()
+        order = np.argsort(pts[:, axis], kind="stable")
+        rows = pts[order]
+        for k in range(1, len(rows)):
+            near = (rows[k:, axis] - rows[:-k, axis] <= STORAGE_TOL).nonzero()[0]
+            if not near.size:
+                break
+            dist = np.sqrt(((rows[near + k] - rows[near]) ** 2).sum(-1))
+            hit = dist <= STORAGE_TOL
+            if hit.any():
+                a, b = order[near[hit]], order[near[hit] + k]
+                i, j, d = np.minimum(a, b), np.maximum(a, b), dist[hit]
+                t = np.lexsort((j, i, d))[0]
+                best = min(best, (float(d[t]), int(i[t]), int(j[t])))
+    return best
+
+
 @dataclass(frozen=True)
 class Space:
     """A finite point cloud in R^d; each point is one atom location."""
@@ -34,17 +61,11 @@ class Space:
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise InvariantViolation(f"space {self.name!r}: need a nonempty (n, d) array")
         object.__setattr__(self, "points", pts)
-        if pts.shape[0] > 1:
-            # an overflowing distance is just a large one
-            with np.errstate(over="ignore"):
-                diff = pts[:, None, :] - pts[None, :, :]
-                dist = np.sqrt((diff**2).sum(-1))
-            np.fill_diagonal(dist, np.inf)
-            if dist.min() <= STORAGE_TOL:
-                i, j = np.unravel_index(np.argmin(dist), dist.shape)
-                raise InvariantViolation(
-                    f"space {self.name!r}: atoms {i} and {j} coincide within {STORAGE_TOL}"
-                )
+        dist, i, j = _closest_pair(pts)
+        if dist <= STORAGE_TOL:
+            raise InvariantViolation(
+                f"space {self.name!r}: atoms {i} and {j} coincide within {STORAGE_TOL}"
+            )
 
     @property
     def size(self) -> int:

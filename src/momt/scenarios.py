@@ -10,14 +10,14 @@ emit flagged reports instead of asserting conclusions.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lp
 from .costs import CostSpec, build_gs_conjugates, gangbo_swiech_maps
-from .errors import InvariantViolation, UnknownScenario
+from .errors import InstanceTooLarge, InvariantViolation, UnknownScenario
 from .extremality import (
     OrderedPartition,
     check_c_extreme,
@@ -77,6 +77,8 @@ class ScenarioConfig:
         if kind not in SCENARIO_KINDS:
             raise UnknownScenario(f"unknown scenario kind {self.kind!r}")
         self.kind = kind
+        if self.seed < 0:
+            raise InvariantViolation(f"seed must be non-negative, got {self.seed}")
         self.sizes = tuple(int(s) for s in self.sizes)
         if any(s < 1 for s in self.sizes):
             raise InvariantViolation("sizes must be at least 1")
@@ -633,7 +635,7 @@ def gen_gromov_wasserstein(config: ScenarioConfig):
     d = config.dimension or 2
     A = _random_invertible(rng, d)
     xi = 1.0
-    n_heavy = min(2, n - 1) if n >= 3 else 0
+    n_heavy = min(2, n // 2) if n >= 3 else 0
     X = Space("X", rng.uniform(-1, 1, size=(n - n_heavy, d)))
     Y = Space("Y", rng.uniform(-1, 1, size=(n, d)))
     w1 = np.concatenate([np.full(n_heavy, 2.0), np.ones(n - 2 * n_heavy)]) / n
@@ -698,13 +700,21 @@ def run_gromov_wasserstein(config: ScenarioConfig) -> dict:
 def gen_two_map_demo(config: ScenarioConfig):
     """Instance whose reduced pair problems have unique two-map solutions.
 
-    Each first-axis atom owns two private atoms on the second and third axes,
-    so the prescribed pair restrictions are the unique feasible couplings on
-    the allowed support, and a 0/1 penalty cost makes exactly those supports
-    optimal.
+    First-axis atom i owns second- and third-axis atoms 2i and 2i + 1: its
+    maps are (T1, T2, G1, G2) = (2i, 2i + 1, 2i, 2i + 1), with weights
+    alpha_i, 1 - alpha_i on the second axis and beta_i, 1 - beta_i on the
+    third.  So the prescribed pair restrictions are the unique feasible
+    couplings on the owned support, and a 0/1/2 penalty cost, one for each
+    atom not owned, makes exactly those supports optimal.  An atom of
+    weight 0 (alpha or beta at 0 or 1) keeps its index, as in
+    `DiscreteMeasure`.  A size whose 4n^3 grid exceeds `lp.GRID_CAP` raises
+    InstanceTooLarge before anything is built.
     """
-    rng = np.random.default_rng(config.seed)
     n = config.sizes[0] if config.sizes else 2
+    if 4 * n**3 > lp.GRID_CAP:
+        raise InstanceTooLarge(
+            f"twoMapDemo grid has {4 * n**3} cells at n = {n}, cap is {lp.GRID_CAP}")
+    rng = np.random.default_rng(config.seed)
     alpha = np.asarray(config.extras.get("alpha", rng.uniform(0.25, 0.75, n)),
                        dtype=float)
     beta = rng.uniform(0.25, 0.75, n)
@@ -714,76 +724,37 @@ def gen_two_map_demo(config: ScenarioConfig):
     X = Space("X", np.arange(n, dtype=float)[:, None])
     Y = Space("Y", np.arange(2 * n, dtype=float)[:, None] + 100.0)
     Z = Space("Z", np.arange(2 * n, dtype=float)[:, None] + 200.0)
-    T1 = np.arange(n) * 2
-    T2 = np.arange(n) * 2 + 1
-    G1 = np.arange(n) * 2
-    G2 = np.arange(n) * 2 + 1
-
-    nu = np.zeros(2 * n)
-    gam = np.zeros(2 * n)
-    for i in range(n):
-        nu[T1[i]] = masses[i] * alpha[i]
-        nu[T2[i]] = masses[i] * (1 - alpha[i])
-        gam[G1[i]] = masses[i] * beta[i]
-        gam[G2[i]] = masses[i] * (1 - beta[i])
-
-    allowed_y = np.zeros((n, 2 * n), dtype=bool)
-    allowed_z = np.zeros((n, 2 * n), dtype=bool)
-    for i in range(n):
-        allowed_y[i, [T1[i], T2[i]]] = True
-        allowed_z[i, [G1[i], G2[i]]] = True
-    cost = np.zeros((n, 2 * n, 2 * n))
-    for i in range(n):
-        cost[i] += (~allowed_y[i])[:, None].astype(float)
-        cost[i] += (~allowed_z[i])[None, :].astype(float)
-
-    # zero-weight atoms appear when alpha or beta hits {0, 1}; drop them here,
-    # because the report's maps, n_y and n_z count only atoms that carry mass
-    keep_y = nu > MASS_FLOOR
-    keep_z = gam > MASS_FLOOR
-    y_index = -np.ones(2 * n, dtype=int)
-    y_index[keep_y] = np.arange(keep_y.sum())
-    z_index = -np.ones(2 * n, dtype=int)
-    z_index[keep_z] = np.arange(keep_z.sum())
-
-    Yk = Space("Y", Y.points[keep_y])
-    Zk = Space("Z", Z.points[keep_z])
+    first = np.arange(n) * 2
+    nu = np.column_stack([masses * alpha, masses * (1 - alpha)]).reshape(-1)
+    gam = np.column_stack([masses * beta, masses * (1 - beta)]).reshape(-1)
+    owner = np.arange(2 * n) // 2
+    foreign = (owner != np.arange(n)[:, None]).astype(float)
+    cost = foreign[:, :, None] + foreign[:, None, :]
     inst = DiscreteInstance(
-        [X, Yk, Zk],
-        [DiscreteMeasure(X, masses), DiscreteMeasure(Yk, nu[keep_y]),
-         DiscreteMeasure(Zk, gam[keep_z])],
-        CostSpec("tensor", "min", {"values": cost[:, keep_y][:, :, keep_z]}),
+        [X, Y, Z],
+        [DiscreteMeasure(X, masses), DiscreteMeasure(Y, nu), DiscreteMeasure(Z, gam)],
+        CostSpec("tensor", "min", {"values": cost}),
     )
-
-    def remap(mapping, index, fallback):
-        out = np.zeros(n, dtype=int)
-        for i in range(n):
-            out[i] = index[mapping[i]] if index[mapping[i]] >= 0 else index[
-                fallback[i]]
-        return out
-
-    maps = (remap(T1, y_index, T2), remap(T2, y_index, T1),
-            remap(G1, z_index, G2), remap(G2, z_index, G1))
     meta = {
         "alpha": alpha, "beta": beta, "masses": masses,
-        "maps": maps, "n_y": int(keep_y.sum()), "n_z": int(keep_z.sum()),
+        "maps": (first, first + 1, first, first + 1), "n_y": 2 * n, "n_z": 2 * n,
     }
     return inst, meta
 
 
-def pair_polytope_vertices(target_xy: np.ndarray, target_xz: np.ndarray):
-    """Vertices of the three-axis plans with (0, 1) restriction `target_xy`
-    and (0, 2) restriction `target_xz`, as dense arrays.
+def pair_polytope_fibers(target_xy: np.ndarray, target_xz: np.ndarray):
+    """Per axis-0 atom x, the vertices of the two-marginal transport polytope
+    of the rows target_xy[x] and target_xz[x], as flat vectors over Y x Z.
 
-    By disintegration such a plan is fixed by its conditionals given x0, and
+    These fibers make up the polytope of three-axis plans with (0, 1)
+    restriction `target_xy` and (0, 2) restriction `target_xz`.  By
+    disintegration such a plan is fixed by its conditionals given x0, and
     the conditional at atom x is bound only by the rows target_xy[x] and
     target_xz[x]: it is a two-marginal transport plan of mass mu0(x).  So the
     polytope is the product of these fibers' transport polytopes, and its
-    vertices are the products of the fibers' vertices.
+    vertices are the products of the fibers' vertices; none is built here.
     """
-    fibers = [lp.enumerate_vertices([xy, xz]) for xy, xz in zip(target_xy, target_xz)]
-    shape = target_xy.shape + target_xz.shape[1:]
-    return [np.stack(choice).reshape(shape) for choice in itertools.product(*fibers)]
+    return [lp.enumerate_vertices([xy, xz]) for xy, xz in zip(target_xy, target_xz)]
 
 
 def run_two_map_demo(config: ScenarioConfig) -> dict:
@@ -791,35 +762,25 @@ def run_two_map_demo(config: ScenarioConfig) -> dict:
     res = lp.solve(inst)
     mu = inst.measures[0]
     alpha, beta = meta["alpha"], meta["beta"]
-    T1, T2, G1, G2 = meta["maps"]
-
-    # effective weights after coalescing dropped twins
-    alpha_eff = np.where(T1 == T2, 1.0, alpha)
-    beta_eff = np.where(G1 == G2, 1.0, beta)
-    lower, upper = extreme_assemblies(alpha_eff, beta_eff, (T1, T2, G1, G2),
-                                      meta["n_y"], meta["n_z"])
+    lower, upper = extreme_assemblies(alpha, beta, meta["maps"], meta["n_y"], meta["n_z"])
     lower_plan = assemble_three_marginal(lower, mu)
     upper_plan = assemble_three_marginal(upper, mu)
 
     target_xy = lower_plan.marginal_on((0, 1))
     target_xz = lower_plan.marginal_on((0, 2))
-    vertices = [Coupling.from_dense(x)
-                for x in pair_polytope_vertices(target_xy, target_xz)]
-    per_atom_unique, all_unique = unique_condition(alpha_eff, beta_eff)
+    fibers = pair_polytope_fibers(target_xy, target_xz)
+    # the total variation from a product vertex to the nearest product of
+    # endpoint conditionals is a sum over the atoms, so its worst case over
+    # the product vertices is the sum of each fiber's worst case
+    endpoints = np.stack([lower_plan.to_dense(), upper_plan.to_dense()], axis=1)
+    endpoint_tv = 0.0
+    for fiber, ends in zip(fibers, endpoints):
+        tv = 0.5 * np.abs(np.array(fiber)[:, None] - ends.reshape(2, -1)).sum(-1)
+        endpoint_tv += tv.min(axis=1).max()
+    vertex_count = math.prod(len(fiber) for fiber in fibers)
+    per_atom_unique, all_unique = unique_condition(alpha, beta)
     open_atoms = int((~per_atom_unique).sum())
 
-    endpoint_plans = {0: lower_plan, 1: upper_plan}
-    matched = 0
-    theta_ok = True
-    for v in vertices:
-        theta = recover_theta(v, lower, mu)
-        rebuilt = assemble_three_marginal(
-            mixed_assembly(lower, upper, theta), mu
-        )
-        if rebuilt.total_variation(v) < 1e-10:
-            matched += 1
-            if not np.all((theta < 1e-9) | (theta > 1 - 1e-9)):
-                theta_ok = False
     solver_theta = recover_theta(res.plan, lower, mu)
     solver_rebuilt = assemble_three_marginal(
         mixed_assembly(lower, upper, solver_theta), mu
@@ -827,30 +788,26 @@ def run_two_map_demo(config: ScenarioConfig) -> dict:
 
     rng = np.random.default_rng(config.seed + 7)
     interior_ok = True
-    open_mask = ~per_atom_unique
     targets = [((0, 1), target_xy), ((0, 2), target_xz)]
     for _ in range(20):
         theta = rng.uniform(0, 1, mu.size)
         plan = assemble_three_marginal(mixed_assembly(lower, upper, theta), mu)
         lp.check_marginals(plan, targets)
         back = recover_theta(plan, lower, mu)
-        if open_mask.any() and np.abs((back - theta)[open_mask]).max() > 1e-9:
+        if open_atoms and np.abs((back - theta)[~per_atom_unique]).max() > 1e-9:
             interior_ok = False
 
-    tagb_ok = True
-    if all_unique:
-        tagb_ok = bool(
-            np.abs(lower.L - product_rows(alpha_eff, beta_eff)).max() <= 1e-12
-            and np.abs(upper.L - product_rows(alpha_eff, beta_eff)).max() <= 1e-12
-        )
+    product = product_rows(alpha, beta)
+    tagb_ok = not all_unique or bool(
+        max(np.abs(lower.L - product).max(), np.abs(upper.L - product).max()) <= 1e-12)
     checks = {
         "solver_value": _round(res.value),
         "solver_on_allowed_support": res.value < 1e-12,
-        "oracle_vertex_count": len(vertices),
-        "expected_vertex_count": 2 ** open_atoms if open_atoms else 1,
-        "vertex_count_ok": len(vertices) == (2 ** open_atoms if open_atoms else 1),
+        "oracle_vertex_count": vertex_count,
+        "expected_vertex_count": 2 ** open_atoms,
+        "vertex_count_ok": vertex_count == 2 ** open_atoms,
         "open_atoms": open_atoms,
-        "vertices_match_theta_endpoints": matched == len(vertices) and theta_ok,
+        "vertices_match_theta_endpoints": endpoint_tv < 1e-10,
         "solver_plan_is_theta_point": solver_rebuilt.total_variation(res.plan) < 1e-10,
         "interior_theta_roundtrip": bool(interior_ok),
         "unique_condition_global": bool(all_unique),
@@ -865,9 +822,9 @@ def run_two_map_demo(config: ScenarioConfig) -> dict:
         and checks["tagb_product_form"]
     )
     windows = [
-        [int(i), _round(alpha_eff[i]), _round(beta_eff[i]),
-         _round(max(0.0, alpha_eff[i] + beta_eff[i] - 1.0)),
-         _round(min(alpha_eff[i], beta_eff[i]))]
+        [int(i), _round(alpha[i]), _round(beta[i]),
+         _round(max(0.0, alpha[i] + beta[i] - 1.0)),
+         _round(min(alpha[i], beta[i]))]
         for i in range(mu.size)
     ]
     return {

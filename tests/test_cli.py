@@ -316,6 +316,22 @@ def test_scenario_unknown_kind_exit_2(capsys):
     assert main(["scenario", "warp"]) == 2
 
 
+@pytest.mark.parametrize("seeds", [["--seed", "-1"], ["--seeds", "1,-2"]])
+def test_scenario_negative_seed_exit_2_before_any_run(tmp_path, capsys, seeds):
+    # the whole batch is checked before its first run: seed 1 writes nothing
+    out = tmp_path / "runs"
+    assert main(["scenario", "gw", *seeds, "--out", str(out)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["37", "1000"])
+def test_scenario_two_map_past_the_grid_cap_exit_3(capsys, n):
+    assert main(["scenario", "twomap", "--n", n]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and err.count("\n") == 1
+
+
 def test_scenario_bad_thread_count_exit_2(monkeypatch, capsys):
     # rejected before any worker process starts
     monkeypatch.setenv("MOMT_THREADS", "abc")

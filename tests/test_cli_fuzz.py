@@ -1,5 +1,6 @@
-"""Hypothesis-generated instance files and MOMT_THREADS values through
-`cli.main`: every run exits 0, 2 or 3, with no traceback and no warning.
+"""Hypothesis-generated instance files, scenario arguments and MOMT_THREADS
+values through `cli.main`: every run exits 0, 2 or 3, with no traceback and
+no warning.
 
 The documents are small instances with any field swapped for a wrong type
 or shape, a NaN, an infinity or an integer beyond the float range.  Each
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from momt import cli
 from momt.costs import BUILTIN_KINDS
+from momt.scenarios import ALIASES, SCENARIO_KINDS
 
 EXIT_CODES = {0, 2, 3}
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
@@ -117,3 +119,13 @@ def test_momt_threads_values_exit_0_or_2(tmp_path, monkeypatch, threads, seeds, 
     assert "Traceback" not in err
     if len(seeds) == 1:
         assert code == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(SCENARIO_KINDS + tuple(ALIASES)),
+       seed=st.integers(-3, 2**70), n=st.integers(-1, 8), d=st.integers(-1, 3))
+def test_scenario_arguments_exit_0_2_or_3(kind, seed, n, d):
+    argv = ["scenario", kind, "--seed", str(seed), "--n", str(n), "--d", str(d)]
+    code, err = _run(argv)
+    assert code in EXIT_CODES, (argv, code, err)
+    assert "Traceback" not in err

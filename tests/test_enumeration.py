@@ -10,6 +10,8 @@ and `solve_model` stay in `momt.lp` because the benchmark's layer tracer
 binds them.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -58,26 +60,27 @@ def test_transport_vertices_keep_the_index_of_a_zero_weight_atom(weights):
 
 @pytest.mark.parametrize("n", [0, 4])
 def test_two_map_polytope_vertices_match_every_basis_search(monkeypatch, n):
-    # the scenario takes the products of per-fiber vertices; the whole
-    # pair-constrained polytope, searched over every feasible basis, must
-    # have the same vertices
+    # the scenario checks the per-fiber vertices; their products, the
+    # vertices of the whole pair-constrained polytope, must be those of the
+    # search over every feasible basis
     calls = []
-    pair_polytope_vertices = scenarios.pair_polytope_vertices
+    pair_polytope_fibers = scenarios.pair_polytope_fibers
 
     def spy(target_xy, target_xz):
-        vertices = pair_polytope_vertices(target_xy, target_xz)
-        calls.append((target_xy, target_xz, vertices))
-        return vertices
+        fibers = pair_polytope_fibers(target_xy, target_xz)
+        calls.append((target_xy, target_xz, fibers))
+        return fibers
 
-    monkeypatch.setattr(scenarios, "pair_polytope_vertices", spy)
+    monkeypatch.setattr(scenarios, "pair_polytope_fibers", spy)
     for seed in range(3):
         report = run_scenario(ScenarioConfig("twoMapDemo", seed=seed,
                                              sizes=(n,) if n else ()))
         assert report["checks"]["vertex_count_ok"]
     monkeypatch.undo()
     assert len(calls) == 3
-    for target_xy, target_xz, vertices in calls:
-        got = sorted((v.reshape(-1) for v in vertices), key=lp._vertex_key)
+    for target_xy, target_xz, fibers in calls:
+        got = sorted((np.stack(choice).reshape(-1) for choice in itertools.product(*fibers)),
+                     key=lp._vertex_key)
         assert_vertices_match(got, every_basis_vertices(pair_model(target_xy, target_xz)))
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,59 @@ def marginals_match(plan: Coupling, measures: list[DiscreteMeasure],
 def test_space_rejects_duplicate_points():
     with pytest.raises(InvariantViolation):
         Space("X", np.array([[0.0, 0.0], [0.0, 0.0]]))
+
+
+def coincident_pair(name, pts):
+    """The dense check Space once made, as the reference: its message for the
+    closest pair of atoms within STORAGE_TOL (least (i, j) on ties), else None."""
+    with np.errstate(over="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff**2).sum(-1))
+    np.fill_diagonal(dist, np.inf)
+    if dist.min() > STORAGE_TOL:
+        return None
+    i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    return f"space {name!r}: atoms {i} and {j} coincide within {STORAGE_TOL}"
+
+
+@st.composite
+def spaces_with_near_duplicates(draw):
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 3))
+    coordinate = draw(st.sampled_from([st.floats(-4, 4), st.integers(0, 2).map(float)]))
+    pts = np.array(draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                                 min_size=n, max_size=n)))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        offset = draw(st.sampled_from([0.0, 1e-12, 5e-10, 1e-9, 2e-9, 1e-6]))
+        direction = draw(st.lists(st.floats(-1, 1), min_size=d, max_size=d))
+        pts[b] = pts[a] + offset * np.array(direction)
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=spaces_with_near_duplicates())
+def test_space_names_the_closest_coincident_pair(pts):
+    want = coincident_pair("X", pts)
+    if want is None:
+        Space("X", pts)
+    else:
+        with pytest.raises(InvariantViolation) as info:
+            Space("X", pts)
+        assert str(info.value) == want
+
+
+def test_a_large_space_builds_in_linear_memory():
+    # 200 000 atoms on one axis fit the grid cap; a dense distance matrix
+    # of them would take 298 GiB
+    pts = np.random.default_rng(0).uniform(0, 1, (200_000, 3))
+    tracemalloc.start()
+    try:
+        Space("X", pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_space_rejects_empty():

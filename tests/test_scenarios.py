@@ -1,8 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from momt import lp, scenarios
-from momt.errors import InvariantViolation, UnknownScenario
+from momt.errors import InstanceTooLarge, InvariantViolation, UnknownScenario
+from momt.measure import Coupling
 from momt.scenarios import (
     NormalField,
     ScenarioConfig,
@@ -12,6 +16,12 @@ from momt.scenarios import (
     run_scenario,
 )
 from momt.serialize import dump_text
+from momt.twomap import (
+    assemble_three_marginal,
+    extreme_assemblies,
+    mixed_assembly,
+    recover_theta,
+)
 from conftest import twin_surplus_instance
 
 
@@ -23,6 +33,8 @@ def test_unknown_kind_rejected():
 def test_config_validation():
     with pytest.raises(InvariantViolation):
         ScenarioConfig("gs", sizes=(0,))
+    with pytest.raises(InvariantViolation):
+        ScenarioConfig("gs", seed=-1)
     with pytest.raises(InvariantViolation):
         ScenarioConfig("shells", radii=(2.0, 1.0))
 
@@ -228,6 +240,13 @@ def test_mq_touching_supports_flagged():
     assert report["checks"] == {}
 
 
+@pytest.mark.parametrize("d", range(4))
+def test_gw_three_atoms(d):
+    # one heavy atom of mass 2/3 on a three-atom axis; two would outweigh it
+    for seed in range(10):
+        assert run_scenario(ScenarioConfig("gw", seed=seed, sizes=(3,), dimension=d))["passed"]
+
+
 def test_gw_run():
     report = run_scenario(ScenarioConfig("gw", seed=4, sizes=(6,)))
     checks = report["checks"]
@@ -257,6 +276,80 @@ def test_two_map_demo_alpha_zero_unique():
     assert checks["unique_condition_global"]
     assert checks["oracle_vertex_count"] == 1
     assert checks["tagb_product_form"]
+    # the atoms of weight 0 keep their indices, and the windows the true alpha
+    inst, _ = gen_two_map_demo(cfg)
+    assert inst.arities == (2, 4, 4)
+    assert (inst.measures[1].weights[[0, 2]] == 0.0).all()
+    assert [row[1] for row in report["windows"]] == [0.0, 0.0]
+
+
+def theta_round_trip(config, fibers):
+    """The vertex count and endpoint check of the pair polytope's products,
+    one θ round trip per product vertex: recover θ, rebuild the assembly
+    and match it, with θ at 0 or 1 on every atom."""
+    inst, meta = gen_two_map_demo(config)
+    mu = inst.measures[0]
+    lower, upper = extreme_assemblies(meta["alpha"], meta["beta"], meta["maps"],
+                                      meta["n_y"], meta["n_z"])
+    count, matched, theta_ok = 0, 0, True
+    for choice in itertools.product(*fibers):
+        count += 1
+        vertex = Coupling.from_dense(np.stack(choice).reshape(inst.arities))
+        theta = recover_theta(vertex, lower, mu)
+        rebuilt = assemble_three_marginal(mixed_assembly(lower, upper, theta), mu)
+        if rebuilt.total_variation(vertex) < 1e-10:
+            matched += 1
+            theta_ok &= bool(np.all((theta < 1e-9) | (theta > 1 - 1e-9)))
+    return count, matched == count and theta_ok
+
+
+ALPHAS = [None, [0.0, 0.0], [1.0, 0.3], [0.0, 1.0], [0.5, 0.5]]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_two_map_fiber_checks_match_the_theta_round_trip(monkeypatch, n):
+    # the report checks each fiber's vertices against the endpoint
+    # conditionals; the product vertices, each sent through the θ round
+    # trip, must give the same count and verdict
+    calls = []
+    pair_polytope_fibers = scenarios.pair_polytope_fibers
+
+    def spy(target_xy, target_xz):
+        calls.append(pair_polytope_fibers(target_xy, target_xz))
+        return calls[-1]
+
+    monkeypatch.setattr(scenarios, "pair_polytope_fibers", spy)
+    for seed in range(20):
+        for alpha in ALPHAS if n == 2 else [None]:
+            config = ScenarioConfig("twomap", seed=seed, sizes=(n,))
+            if alpha is not None:
+                config.extras["alpha"] = alpha
+            checks = run_scenario(config)["checks"]
+            count, matched = theta_round_trip(config, calls.pop())
+            assert checks["oracle_vertex_count"] == count
+            assert checks["vertices_match_theta_endpoints"] == matched
+
+
+def test_two_map_demo_memory_is_linear_in_n():
+    # the 2^12 product vertices are never built; as dense arrays they
+    # peaked at 246 MB
+    tracemalloc.start()
+    try:
+        report = run_scenario(ScenarioConfig("twomap", seed=5, sizes=(12,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["checks"]["oracle_vertex_count"] == 2 ** 12
+    assert peak < 10e6
+
+
+def test_two_map_demo_size_is_capped_by_the_grid():
+    # 4 * 36^3 cells fit GRID_CAP, 4 * 37^3 do not
+    inst, _ = gen_two_map_demo(ScenarioConfig("twomap", sizes=(36,)))
+    assert inst.grid_size() == 4 * 36**3 <= lp.GRID_CAP
+    for n in (37, 1000):
+        with pytest.raises(InstanceTooLarge):
+            gen_two_map_demo(ScenarioConfig("twomap", sizes=(n,)))
 
 
 def test_two_map_demo_generator_unique_restrictions():
