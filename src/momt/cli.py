@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -343,6 +342,8 @@ def cmd_scenario(args) -> int:
     configs = [ScenarioConfig(args.kind, seed=s, sizes=sizes, dimension=args.d)
                for s in sorted(seeds)]
     if len(configs) > 1:
+        from concurrent.futures import ProcessPoolExecutor      # pulls in multiprocessing
+
         with ProcessPoolExecutor(max_workers=_worker_count(len(configs))) as pool:
             reports = list(pool.map(run_scenario, configs))
     else:

@@ -14,8 +14,10 @@ marginals N alone picks one of two simplex cores:
   potentials come from one traversal, and a pivot recomputes them only on
   the subtree it cuts off; an entering cell's direction is the tree cycle
   it closes, with coefficients +-1; basic masses come from leaf elimination,
-  so the plan's bytes depend on the basis alone.  The leaving arc follows
-  the strongly feasible tree rule (Cunningham 1976), which cannot cycle.
+  so the plan's bytes depend on the basis alone.  The start is the
+  least-cost tree of exactly perturbed weights, strongly feasible by
+  construction (`_tree_start`), and the leaving arc follows the strongly
+  feasible tree rule (Cunningham 1976), which keeps it so and cannot cycle.
   Two-marginal problems are most of the work: every pair reduction (0, j)
   that the paper's reconstruction rests on is one.
 - N >= 3 (`_pivot_loop`): the bases are no trees, so a revised simplex keeps
@@ -430,21 +432,14 @@ class _Tree:
     children.  Positions of `basis` are nodes, so the basis is a function of
     the cells alone.
 
-    The tree is strongly feasible (Cunningham 1976): from every node some
-    positive flow can reach the root along the tree.  Arcs from a child on
-    axis 0 point to the root, so this asks a positive flow on the parent arc
-    of every non-root atom of axis 1, except the void ones, which are kept
-    as leaves with no flow instead.  The start (least-cost) tree is
-    repaired to that form.  An axis-1 atom whose parent arc is empty is
-    re-hung from a child with positive flow, whose arc goes to the cheapest
-    axis-1 ancestor (the cut subtree has no net mass, so no flow moves).
-    An atom with no such child is void: weight 0, or a weight of a few ulps
-    that the rounding of the other axis's weights leaves unserved
-    (`DiscreteMeasure` admits sums off by STORAGE_TOL).  Its children hang
-    from its cheapest axis-1 ancestor.
+    The tree must be strongly feasible (Cunningham 1976): from every node
+    some positive flow can reach the root along the tree.  Arcs from a child
+    on axis 0 point to the root, so this asks a positive flow on the parent
+    arc of every non-root atom of axis 1 except those of weight 0, which are
+    leaves with no flow.  `_tree_start` builds the start tree in that form.
     """
 
-    def __init__(self, cols, cells, masses, c):
+    def __init__(self, cols, cells, masses):
         n0, n1 = cols.arities
         self.n0 = n0
         nodes = n0 + n1
@@ -467,36 +462,6 @@ class _Tree:
                     parent[w], cell[w], flow[w] = v, j, mass
                     kids[v].add(w)
                     order.append(w)
-        c = c.reshape(n0, n1)
-
-        def rehang(i, v):
-            # hang axis-0 node i, now a child of v, from v's cheapest axis-1
-            # ancestor with i's arc flow unchanged
-            ups = []
-            w = parent[v]
-            while w >= 0:
-                if w >= n0:
-                    ups.append(w)
-                w = parent[w]
-            k = min(ups, key=lambda w: c[i, w - n0])
-            kids[parent[i]].discard(i)
-            kids[k].add(i)
-            parent[i], cell[i] = k, i * n1 + k - n0
-
-        for v in order[1:]:
-            if v < n0 or flow[v] > 0.0:
-                continue
-            i = max(kids[v], key=flow.__getitem__, default=-1)
-            if i < 0 or flow[i] == 0.0:
-                for i in list(kids[v]):          # v becomes a void leaf
-                    rehang(i, v)
-                continue
-            up, j, f = parent[v], cell[i], flow[i]
-            rehang(i, v)
-            flow[i] = 0.0
-            kids[up].discard(v)
-            kids[i].add(v)
-            parent[v], cell[v], flow[v] = i, j, f
 
     @property
     def basis(self):
@@ -541,21 +506,22 @@ def _tree_loop(cols, b, costs, tree, allow_enter):
     are recomputed.  Flows are updated by +-theta, so a zero flow is exact;
     the returned xB is recomputed by `_Tree.masses`.
 
-    Termination, in exact arithmetic.  The rule keeps the tree strongly
-    feasible (Cunningham 1976; Ahuja, Magnanti & Orlin, *Network Flows*,
-    1993, section 11.5), so every arc that could block on q's side carries
-    flow, unless q is a void leaf.  A pivot with theta > 0 lowers the cost
-    by theta times the reduced cost's magnitude.  A degenerate pivot at a q
-    that is not void therefore cuts a subtree off on p's side; hung from the
+    Termination, in exact arithmetic.  The start tree is strongly feasible
+    (`_tree_start`), and the rule keeps it so (Cunningham 1976; Ahuja,
+    Magnanti & Orlin, *Network Flows*, 1993, section 11.5): every arc that
+    could block on q's side carries flow, unless q is an axis-1 atom of
+    weight 0, a leaf with no flow.  A pivot with theta > 0 lowers the cost
+    by theta times the reduced cost's magnitude.  A degenerate pivot at any
+    other q therefore cuts a subtree off on p's side; hung from the
     entering arc, all its u_i and -v_k fall by that magnitude, so
-    sum(u) - sum(v) falls and the cost stays.  Void leaves carry no flow
-    and lie on no cycle but their own, so the cost and that sum over the
-    other nodes depend only on the tree without its void leaves, which a
-    pivot entering at a void leaf leaves as it is: such a pivot re-hangs q
-    alone and lowers v_q with every other potential fixed, so it cannot
-    recur before the rest of the tree changes.  Hence no tree recurs, and
-    there are finitely many.  No B^-1, stall counter or pivot size test is
-    needed: a cycle's coefficients are +-1.
+    sum(u) - sum(v) falls and the cost stays.  Weight-0 leaves carry no
+    flow and lie on no cycle but their own, so the cost and that sum over
+    the other nodes depend only on the tree without them, which a pivot
+    entering at such a leaf leaves as it is: it re-hangs q alone and lowers
+    v_q with every other potential fixed, so it cannot recur before the
+    rest of the tree changes.  Hence no tree recurs, and there are finitely
+    many.  No B^-1, stall counter or pivot size test is needed: a cycle's
+    coefficients are +-1.
     """
     n0, n1 = cols.arities
     root = tree.root
@@ -736,7 +702,8 @@ def _least_cost_basis(weights: list[np.ndarray],
     the retired atoms the columns are triangular, hence independent; the
     dropped rows of `standard_model` are sums of kept ones, so the cells
     are a basis, and the placed masses make it feasible.  Returns the cells
-    and the masses placed on them.
+    and the masses placed on them; integer weights (object arrays) are
+    placed exactly.
     """
     arities = tuple(len(w) for w in weights)
     left = [w.tolist() for w in weights]
@@ -761,6 +728,38 @@ def _least_cost_basis(weights: list[np.ndarray],
         k = min(movable, key=lambda k: left[k][at[k]])
         live[k] -= 1
         free[(slice(None),) * k + (at[k],)] = np.inf
+
+
+def _tree_start(weights: list[np.ndarray],
+                c: np.ndarray) -> tuple[list[int], list[float]]:
+    """Strongly feasible start tree of a two-marginal problem: cells, masses.
+
+    `_least_cost_basis` runs on exact integer weights, perturbed so that no
+    basis is degenerate (Cunningham 1976; Ahuja, Magnanti & Orlin, *Network
+    Flows*, 1993, section 11.5).  Each weight is an integer multiple of
+    1/scale, scale the largest denominator of the weights' exact ratios; the
+    largest axis-1 atom takes up the difference between the two sums.
+    Scaled by K, each axis-0 atom gains a unit, each non-root axis-1 atom of
+    positive weight gives one up, and the root (the last axis-1 atom) takes
+    the balance.  Every node but the root and the weight-0 atoms of axis 1
+    thus sends a unit to the root, so every arc of the start tree carries a
+    positive perturbed flow: the tree is strongly feasible, and weight-0
+    atoms end as leaves with no flow.  A flow or a weight left moves by at
+    most 2 (n0 + n1) < K / 2 units, so each mass rounds back to K times an
+    exact mass.  In floats, rounding dust would decide ties before the
+    perturbation could.
+    """
+    ratios = [[v.as_integer_ratio() for v in w.tolist()] for w in weights]
+    scale = max(d for r in ratios for _, d in r)
+    a, b = ([p * (scale // d) for p, d in r] for r in ratios)
+    b[b.index(max(b))] += sum(a) - sum(b)
+    K = 4 * (len(a) + len(b)) ** 2
+    a = [K * v + 1 for v in a]
+    b = [K * v - (v > 0) for v in b[:-1]]
+    b.append(sum(a) - sum(b))
+    cells, masses = _least_cost_basis(
+        [np.array(a, dtype=object), np.array(b, dtype=object)], c)
+    return cells, [(2 * m + K) // (2 * K) / scale for m in masses]
 
 
 def _strictly_complementary(cols, b, c, x, y, state, loop):
@@ -832,11 +831,10 @@ def solve(instance: DiscreteInstance) -> SolveResult:
         raise NonFiniteCost("cost span overflows the float range")
     span = span or 1.0
     c = (c - shift) / span
-    cells, masses = _least_cost_basis(weights, c)
     if instance.n_axes == 2:
-        loop, state = _tree_loop, _Tree(cols, cells, masses, c)
+        loop, state = _tree_loop, _Tree(cols, *_tree_start(weights, c))
     else:
-        loop, state = _pivot_loop, _SimplexState(basis=cells)
+        loop, state = _pivot_loop, _SimplexState(basis=_least_cost_basis(weights, c)[0])
     xB, y = loop(cols, cols.b, c, state, np.ones(cols.n, dtype=bool))
     x = _basic_solution(xB, state, cols.n)
     y, second = _strictly_complementary(cols, cols.b, c, x, y, state, loop)

@@ -7,6 +7,7 @@ construction and every operation is a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,7 +149,8 @@ class Coupling:
 
         Keys are bounds-checked a column at a time.  Invalid input raises the
         error of its first invalid entry, as a pass over the entries in order
-        would, and the total is summed in entry order.
+        would.  The total is summed exactly (`math.fsum`), so its check does
+        not drift with the number of cells.
         """
         keys, failure = _int_keys(self.entries)
         bad = _first_bad_key(keys, self.arities)
@@ -159,10 +161,9 @@ class Coupling:
         if failure is not None:
             raise failure
         clean = {}
-        total = 0.0
         for j in kept:
             clean[keys[j]] = clean.get(keys[j], 0.0) + float(masses[j])
-            total += masses[j]
+        total = math.fsum(masses[j] for j in kept)
         if abs(total - 1.0) > STORAGE_TOL:
             raise InvariantViolation(f"total mass {total!r} differs from 1")
         object.__setattr__(self, "entries", clean)

@@ -29,7 +29,7 @@ from .errors import (
     SubsetTooSmall,
 )
 from .instance import DiscreteInstance
-from .lp import Potentials, solve, uniqueness_certificate
+from .lp import Potentials, solve
 from .measure import Coupling, glue, pushforward
 from .tolerances import DUAL_FEAS_TOL, GAP_TOL, cost_scaled
 
@@ -218,15 +218,15 @@ def reconstruct_from_pair_reductions(instance: DiscreteInstance, pairs: dict,
     magnitude) and in total variation.
 
     The reconstruction equals the full optimum only when every reduced pair
-    problem is uniquely solved, so each one gets a uniqueness certificate
-    and the per-axis outcomes are reported: a non-unique reduced face lets
-    the reduced solver legitimately pick a vertex that is not the full
-    plan's restriction.
+    problem is uniquely solved, so each one is checked (its solve's face LP
+    found no second optimal vertex) and the per-axis outcomes are reported:
+    a non-unique reduced face lets the reduced solver legitimately pick a
+    vertex that is not the full plan's restriction.
     """
     n = instance.n_axes
     hypothesis: dict[int, bool] = {}
     for j, (red, sol) in sorted(pairs.items()):
-        hypothesis[j] = uniqueness_certificate(red.instance, sol).status == "unique"
+        hypothesis[j] = sol.second_vertex is None
         if j < n - 1 and not sol.plan.is_graph():
             raise NotAGraph(j, next(x for x, fib in sol.plan.fibers(0).items()
                                     if len(fib) != 1))

@@ -38,6 +38,7 @@ from .tolerances import MASS_FLOOR, STORAGE_TOL, WITNESS_TV_TOL
 from .twomap import (
     assemble_three_marginal,
     extreme_assemblies,
+    lij_window,
     mixed_assembly,
     product_rows,
     recover_theta,
@@ -821,12 +822,9 @@ def run_two_map_demo(config: ScenarioConfig) -> dict:
         and checks["interior_theta_roundtrip"]
         and checks["tagb_product_form"]
     )
-    windows = [
-        [int(i), _round(alpha[i]), _round(beta[i]),
-         _round(max(0.0, alpha[i] + beta[i] - 1.0)),
-         _round(min(alpha[i], beta[i]))]
-        for i in range(mu.size)
-    ]
+    low, high = lij_window(alpha, beta)
+    windows = [[int(i), _round(alpha[i]), _round(beta[i]), _round(low[i]), _round(high[i])]
+               for i in range(mu.size)]
     return {
         "kind": config.kind,
         "seed": config.seed,

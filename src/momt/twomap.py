@@ -27,17 +27,22 @@ from .measure import Coupling, DiscreteMeasure
 from .tolerances import MASS_FLOOR, STORAGE_TOL
 
 
-def lij_window(alpha: float, beta: float) -> tuple[float, float]:
-    """Feasible range of the joint first-map mass for one atom."""
-    if not (-STORAGE_TOL <= alpha <= 1 + STORAGE_TOL):
-        raise OutOfRange(f"alpha = {alpha} outside [0, 1]")
-    if not (-STORAGE_TOL <= beta <= 1 + STORAGE_TOL):
-        raise OutOfRange(f"beta = {beta} outside [0, 1]")
+def lij_window(alpha, beta):
+    """Feasible range (low, high) of the joint first-map mass, per atom.
+
+    alpha and beta are scalars or arrays of one value per atom; the window
+    is taken elementwise.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    high, top = np.minimum(alpha, beta), np.maximum(alpha, beta)
+    if not (-STORAGE_TOL <= high.min() and top.max() <= 1 + STORAGE_TOL):   # NaN fails
+        name, w = next((name, w) for name, w in (("alpha", alpha), ("beta", beta))
+                       if not ((-STORAGE_TOL <= w) & (w <= 1 + STORAGE_TOL)).all())
+        raise OutOfRange(f"{name} = {w} outside [0, 1]")
     # alpha + beta - 1 rounded once: 1 minus the larger weight is exact when
     # that weight is at least 1/2, and below 1/2 the window starts at 0
-    low = max(0.0, beta - (1.0 - alpha) if alpha >= beta else alpha - (1.0 - beta))
-    high = min(alpha, beta)
-    return low, high
+    return np.maximum(0.0, high - (1.0 - top)), high
 
 
 def _rows_from_l11(alpha, beta, l11):
@@ -75,8 +80,7 @@ class TwoMapAssembly:
         ).max()
         if resid > STORAGE_TOL:
             raise InvariantViolation(f"row equations violated by {resid:.3e}")
-        low = np.maximum(0.0, self.alpha + self.beta - 1.0)
-        high = np.minimum(self.alpha, self.beta)
+        low, high = lij_window(self.alpha, self.beta)
         if ((self.L[:, 0] < low - STORAGE_TOL) | (self.L[:, 0] > high + STORAGE_TOL)).any():
             raise InvariantViolation("L11 escapes its feasibility window")
 
@@ -87,12 +91,8 @@ def extreme_assemblies(alpha, beta, maps: tuple[np.ndarray, np.ndarray,
     """The two assemblies with L11 at the window endpoints on every atom."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    for arr, name in ((alpha, "alpha"), (beta, "beta")):
-        if ((arr < -STORAGE_TOL) | (arr > 1 + STORAGE_TOL)).any():
-            raise OutOfRange(f"{name} weights must lie in [0, 1]")
+    low, high = lij_window(alpha, beta)
     T1, T2, G1, G2 = (np.asarray(m, dtype=int) for m in maps)
-    low = np.maximum(0.0, alpha + beta - 1.0)
-    high = np.minimum(alpha, beta)
     lower = TwoMapAssembly(alpha, beta, T1, T2, G1, G2, n_y, n_z,
                            _rows_from_l11(alpha, beta, low),
                            theta=np.zeros_like(alpha))
@@ -163,8 +163,7 @@ def recover_theta(plan: Coupling, assembly_like: TwoMapAssembly,
     """
     n = mu.size
     theta = np.zeros(n)
-    low_all = np.maximum(0.0, assembly_like.alpha + assembly_like.beta - 1.0)
-    high_all = np.minimum(assembly_like.alpha, assembly_like.beta)
+    low_all, high_all = lij_window(assembly_like.alpha, assembly_like.beta)
     for x in range(n):
         w = mu.weights[x]
         if w <= MASS_FLOOR:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -121,10 +122,21 @@ def test_coupling_prunes_dust_and_checks_mass():
         Coupling((2, 2), {(0, 0): 0.7})
 
 
+def test_a_coupling_of_many_cells_checks_its_exact_total():
+    # 200 000 masses of 1/200 000 summed one by one drift to 1 + 2.3e-12,
+    # past STORAGE_TOL; their exact sum is 1 to the last ulp
+    n = 200_000
+    plan = lp._coupling_from_x(np.full(n, 1.0 / n), (n, 1))
+    assert len(plan.entries) == n
+    with pytest.raises(InvariantViolation):
+        Coupling((n, 1), dict(zip(((i, 0) for i in range(n)), [1.1 / n] * n)))
+
+
 def _loop_coupling(arities, entries):
-    """The entry-by-entry validation `Coupling` ran before it used arrays."""
+    """The entry-by-entry validation `Coupling` ran before it used arrays,
+    with the total summed exactly."""
     clean = {}
-    total = 0.0
+    kept = []
     for idx, mass in entries.items():
         idx = tuple(int(i) for i in idx)
         if len(idx) != len(arities):
@@ -135,7 +147,8 @@ def _loop_coupling(arities, entries):
         if mass <= MASS_FLOOR:
             continue
         clean[idx] = clean.get(idx, 0.0) + float(mass)
-        total += mass
+        kept.append(mass)
+    total = math.fsum(kept)
     if abs(total - 1.0) > STORAGE_TOL:
         raise InvariantViolation(f"total mass {total!r} differs from 1")
     return clean

@@ -1,5 +1,7 @@
 """Two-marginal solves on the spanning-tree basis (`lp._Tree`, `lp._tree_loop`)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,7 +94,7 @@ def test_plan_bytes_depend_on_the_basis_alone(monkeypatch, weights):
     cols = lp._TransportColumns([m.weights for m in inst.measures])
     c = inst.cost_grid().reshape(-1)
     c = (c - c.min()) / np.ptp(c)
-    tree = lp._Tree(cols, *lp._least_cost_basis([m.weights for m in inst.measures], c), c)
+    tree = lp._Tree(cols, *lp._tree_start([m.weights for m in inst.measures], c))
     xB, _ = lp._tree_loop(cols, cols.b, c, tree, np.ones(cols.n, dtype=bool))
     assert tree.iterations > 0
     basis, masses = list(tree.basis), xB.tolist()
@@ -100,7 +102,7 @@ def test_plan_bytes_depend_on_the_basis_alone(monkeypatch, weights):
     outputs = set()
     for _ in range(6):
         order = rng.permutation(len(basis))
-        monkeypatch.setattr(lp, "_least_cost_basis", lambda measures, cost: (
+        monkeypatch.setattr(lp, "_tree_start", lambda weights, cost: (
             [basis[p] for p in order], [masses[p] for p in order]))
         res = lp.solve(inst)
         assert res.iterations == 0
@@ -110,27 +112,29 @@ def test_plan_bytes_depend_on_the_basis_alone(monkeypatch, weights):
 
 
 def test_start_tree_is_strongly_feasible():
-    # degenerate uniform weights leave empty arcs in the least-cost start;
-    # after the repair every non-root axis-1 atom of positive weight hangs
-    # from a positive flow, and the repaired tree carries the same plan
-    repaired = 0
+    # degenerate uniform weights leave empty arcs in the plain least-cost
+    # start; the perturbed start hangs every non-root axis-1 atom from a
+    # positive flow, and its masses are the tree's own
+    degenerate = 0
     for seed in range(20):
         n = 3 + seed % 6
         inst = two_marginal_instance(seed, n, n + seed % 3, ("random", "tied")[seed % 2],
                                      "uniform", "min")
-        cols = lp._TransportColumns([m.weights for m in inst.measures])
+        weights = [m.weights for m in inst.measures]
+        cols = lp._TransportColumns(weights)
         c = inst.cost_grid().reshape(-1)
         c = (c - c.min()) / (np.ptp(c) or 1.0)
-        cells, masses = lp._least_cost_basis([m.weights for m in inst.measures], c)
-        tree = lp._Tree(cols, cells, masses, c)
+        cells, masses = lp._tree_start(weights, c)
+        tree = lp._Tree(cols, cells, masses)
         n0 = inst.arities[0]
         assert all(tree.flow[v] > 0.0 for v in range(n0, tree.root))
         x = np.zeros(cols.n)
         x[cells] = masses
         y = lp._basic_solution(tree.masses(cols.b), tree, cols.n)
         assert np.abs(x - y).max() <= 1e-15
-        repaired += sorted(tree.basis) != sorted(cells)
-    assert repaired
+        plain = lp._Tree(cols, *lp._least_cost_basis(weights, c))
+        degenerate += any(plain.flow[v] == 0.0 for v in range(n0, plain.root))
+    assert degenerate
 
 
 def test_void_atoms_stay_leaves_and_the_solve_ends():
@@ -148,20 +152,17 @@ def test_void_atoms_stay_leaves_and_the_solve_ends():
         cols = lp._TransportColumns([m.weights for m in inst.measures])
         c = (inst.cost_grid().reshape(-1) - values.min()) / (np.ptp(values) or 1.0)
         weights = [m.weights for m in inst.measures]
-        tree = lp._Tree(cols, *lp._least_cost_basis(weights, c), c)
+        tree = lp._Tree(cols, *lp._tree_start(weights, c))
         lp._tree_loop(cols, cols.b, c, tree, np.ones(cols.n, dtype=bool))
         assert not tree.kids[n0] and not tree.kids[n0 + n1 - 2]
 
 
 def test_start_tree_is_strongly_feasible_on_weights_within_storage_tolerance():
     # DiscreteMeasure admits sums off 1 by STORAGE_TOL (and reads weights
-    # down to -STORAGE_TOL as 0), so the least-cost start may leave an
-    # axis-1 atom of a few ulps unserved; such an atom becomes a void leaf
-    # (children re-hung, even when it had some), every other non-root
-    # axis-1 atom hangs from a positive flow, and the optimum matches the
-    # dense core's
+    # down to -STORAGE_TOL as 0); the start still leaves no axis-1 atom of
+    # positive weight without flow, weight-0 atoms are leaves with no flow,
+    # and the optimum matches the dense core's
     rng = np.random.default_rng(0)
-    unserved = unserved_with_kids = 0
     for t in range(400):
         n0, n1 = rng.integers(2, 6, 2)
         weights = []
@@ -177,14 +178,73 @@ def test_start_tree_is_strongly_feasible_on_weights_within_storage_tolerance():
         cols = lp._TransportColumns([m.weights for m in inst.measures])
         c = (-1.0 if t % 2 else 1.0) * values.reshape(-1)
         c = (c - c.min()) / (np.ptp(c) or 1.0)
-        cells, masses = lp._least_cost_basis([m.weights for m in inst.measures], c)
-        tree = lp._Tree(cols, cells, masses, c)
+        tree = lp._Tree(cols, *lp._tree_start([m.weights for m in inst.measures], c))
         for v in range(n0, tree.root):
-            if tree.flow[v] == 0.0:
-                assert not tree.kids[v]
-                if cols.b[v] > 0.0:
-                    unserved += 1
-                    unserved_with_kids += sum(j % n1 == v - n0 for j in cells) > 1
+            if cols.b[v] > 0.0:
+                assert tree.flow[v] > 0.0
+            else:
+                assert tree.flow[v] == 0.0 and not tree.kids[v]
         res = lp.solve(inst)
         assert abs(res.value - dense_solve(inst).value) <= cost_scaled(GAP_TOL, values)
-    assert unserved and unserved_with_kids
+
+
+@st.composite
+def start_problems(draw):
+    """Weights of one family on two axes, each summing to 1 within 1e-12, and a cost."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["uniform", "dirichlet", "ratios", "zeros", "subnormal"]))
+    weights = []
+    for n in (draw(st.integers(1, 8)), draw(st.integers(1, 8))):
+        w = {"uniform": lambda: np.full(n, 1.0 / n),
+             "ratios": lambda: rng.integers(1, 4, n).astype(float)}.get(
+                 family, lambda: rng.dirichlet(np.ones(n)))()
+        if family in ("zeros", "subnormal") and n > 1:
+            k = rng.choice(n, rng.integers(1, n), replace=False)
+            w[k] = 0.0
+        w /= w.sum()
+        if family == "subnormal" and n > 1:
+            w[k] = 5e-324 * rng.integers(1, 1000, len(k))
+        weights.append(w * (1.0 + draw(st.floats(-1e-12, 1e-12))))
+    n0, n1 = len(weights[0]), len(weights[1])
+    c = (rng.integers(0, 3, n0 * n1) if draw(st.booleans())
+         else rng.uniform(0.0, 1.0, n0 * n1)).astype(float)
+    return weights, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(start_problems())
+def test_tree_start_is_a_strongly_feasible_basis(problem):
+    # a basis of the transport polytope whose every non-root axis-1 atom of
+    # positive weight hangs from a positive flow, weight-0 atoms being
+    # leaves with no flow, and whose masses are the tree's own: off by no
+    # more than the two exact weight sums differ, which the largest axis-1
+    # atom takes up at the start and the root in leaf elimination
+    weights, c = problem
+    cols = lp._TransportColumns(weights)
+    cells, masses = lp._tree_start(weights, c)
+    assert len(cells) == cols.m
+    assert np.linalg.matrix_rank(cols.matrix(cells)) == cols.m
+    tree = lp._Tree(cols, cells, masses)
+    n0 = len(weights[0])
+    for v in range(n0, tree.root):
+        if weights[1][v - n0] > 0.0:
+            assert tree.flow[v] > 0.0
+        else:
+            assert tree.flow[v] == 0.0 and not tree.kids[v]
+    x = np.zeros(cols.n)
+    x[cells] = masses
+    y = lp._basic_solution(tree.masses(cols.b), tree, cols.n)
+    drift = abs(math.fsum(weights[0]) - math.fsum(weights[1]))
+    assert np.abs(x - y).max() <= 1e-15 + drift
+
+
+def test_tree_start_keeps_the_least_cost_cells_without_ties():
+    # Dirichlet weights tie no two partial sums, so the perturbation decides
+    # nothing and the start is the plain least-cost basis
+    rng = np.random.default_rng(3)
+    for t in range(300):
+        n0, n1 = rng.integers(1, 10, 2)
+        weights = [rng.dirichlet(np.ones(n)) for n in (n0, n1)]
+        c = (rng.integers(0, 3, n0 * n1) if t % 2
+             else rng.uniform(0.0, 1.0, n0 * n1)).astype(float)
+        assert lp._tree_start(weights, c)[0] == lp._least_cost_basis(weights, c)[0]
