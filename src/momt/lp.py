@@ -677,7 +677,7 @@ class SolveResult:
 def _probability_mass(x: np.ndarray) -> float:
     """The total of x, which must be 1 within 1e-9 (else SolverError)."""
     total = float(x.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:                # NaN fails
         raise SolverError(f"solution mass {total!r} is not a probability")
     return total
 

@@ -61,6 +61,8 @@ class Space:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise InvariantViolation(f"space {self.name!r}: need a nonempty (n, d) array")
+        if not np.isfinite(pts).all():
+            raise InvariantViolation(f"space {self.name!r}: points must be finite")
         object.__setattr__(self, "points", pts)
         dist, i, j = _closest_pair(pts)
         if dist <= STORAGE_TOL:
@@ -95,7 +97,7 @@ class DiscreteMeasure:
             # atom, and the simplex needs nonnegative marginals
             w = np.where(w < 0.0, 0.0, w)
         object.__setattr__(self, "weights", w)
-        if abs(w.sum() - 1.0) > STORAGE_TOL:
+        if not abs(w.sum() - 1.0) <= STORAGE_TOL:       # NaN fails
             raise InvariantViolation(f"weights sum to {w.sum()!r}, expected 1")
 
     @property
@@ -164,7 +166,7 @@ class Coupling:
         for j in kept:
             clean[keys[j]] = clean.get(keys[j], 0.0) + float(masses[j])
         total = math.fsum(masses[j] for j in kept)
-        if abs(total - 1.0) > STORAGE_TOL:
+        if not abs(total - 1.0) <= STORAGE_TOL:         # NaN fails
             raise InvariantViolation(f"total mass {total!r} differs from 1")
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "arities", tuple(int(n) for n in self.arities))

@@ -11,7 +11,7 @@ emit flagged reports instead of asserting conclusions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .tolerances import MASS_FLOOR, STORAGE_TOL, WITNESS_TV_TOL
 from .twomap import (
     assemble_three_marginal,
     extreme_assemblies,
-    lij_window,
-    mixed_assembly,
     product_rows,
     recover_theta,
     unique_condition,
@@ -128,6 +126,12 @@ def _plain(obj):
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     return obj
+
+
+def _report(config: ScenarioConfig, checks: dict, passed, **fields) -> dict:
+    """A driver's report: kind and seed, then `fields` in order, checks, passed."""
+    return {"kind": config.kind, "seed": config.seed, **fields,
+            "checks": checks, "passed": bool(passed)}
 
 
 def _sine(u, v):
@@ -260,15 +264,9 @@ def run_sphere_reflection(config: ScenarioConfig) -> dict:
         and checks["mixture_max_fiber"] <= 2
         and checks["certificate_consistent"]
     )
-    return {
-        "kind": config.kind,
-        "seed": config.seed,
-        "value": _round(res.value),
-        "support": _support_rows(res.plan),
-        "reflection_witness": _support_rows(reflected),
-        "checks": checks,
-        "passed": bool(passed),
-    }
+    return _report(config, checks, passed, value=_round(res.value),
+                   support=_support_rows(res.plan),
+                   reflection_witness=_support_rows(reflected))
 
 
 def _support_rows(plan: Coupling):
@@ -453,15 +451,8 @@ def run_nested_shells(config: ScenarioConfig) -> dict:
         "matches_construction_tv": _round(tv_expected),
     }
     passed = red_graph and checks["collinearity_ok"] and extreme.passed
-    return {
-        "kind": config.kind,
-        "seed": config.seed,
-        "value": _round(res.value),
-        "support": _support_rows(res.plan),
-        "collinearity": sines,
-        "checks": checks,
-        "passed": bool(passed),
-    }
+    return _report(config, checks, passed, value=_round(res.value),
+                   support=_support_rows(res.plan), collinearity=sines)
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +527,8 @@ def run_gangbo_swiech(config: ScenarioConfig) -> dict:
         and reconstruction["passed"]
         and trep["agreement_fraction"] == 1.0
     )
-    return {
-        "kind": config.kind,
-        "seed": config.seed,
-        "value": _round(res.value),
-        "support": _support_rows(res.plan),
-        "checks": checks,
-        "passed": bool(passed),
-    }
+    return _report(config, checks, passed, value=_round(res.value),
+                   support=_support_rows(res.plan))
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +562,9 @@ def gen_monge_quadratic(config: ScenarioConfig):
 def run_monge_quadratic(config: ScenarioConfig) -> dict:
     inst, xy_gap = gen_monge_quadratic(config)
     if xy_gap <= 1e-9:
-        return {
-            "kind": config.kind,
-            "seed": config.seed,
-            "hypothesis_violated": "supports of the first two marginals touch",
-            "xy_gap": _round(xy_gap),
-            "checks": {},
-            "passed": False,
-        }
+        return _report(config, {}, False,
+                       hypothesis_violated="supports of the first two marginals touch",
+                       xy_gap=_round(xy_gap))
     res = lp.solve(inst)
     graph_full = res.plan.is_graph()
     reduced_graph = {
@@ -602,14 +582,8 @@ def run_monge_quadratic(config: ScenarioConfig) -> dict:
         "certificate_status": cert.status,
     }
     passed = graph_full and all(reduced_graph.values()) and mono.passed
-    return {
-        "kind": config.kind,
-        "seed": config.seed,
-        "value": _round(res.value),
-        "support": _support_rows(res.plan),
-        "checks": checks,
-        "passed": bool(passed),
-    }
+    return _report(config, checks, passed, value=_round(res.value),
+                   support=_support_rows(res.plan))
 
 
 # ---------------------------------------------------------------------------
@@ -684,14 +658,8 @@ def run_gromov_wasserstein(config: ScenarioConfig) -> dict:
     }
     passed = checks["fiber_ok"] and checks["twist_counts_ok"] and checks[
         "zero_x0_count"] == 1
-    return {
-        "kind": config.kind,
-        "seed": config.seed,
-        "value": _round(res.value),
-        "support": _support_rows(res.plan),
-        "checks": checks,
-        "passed": bool(passed),
-    }
+    return _report(config, checks, passed, value=_round(res.value),
+                   support=_support_rows(res.plan))
 
 
 # ---------------------------------------------------------------------------
@@ -783,16 +751,14 @@ def run_two_map_demo(config: ScenarioConfig) -> dict:
     open_atoms = int((~per_atom_unique).sum())
 
     solver_theta = recover_theta(res.plan, lower, mu)
-    solver_rebuilt = assemble_three_marginal(
-        mixed_assembly(lower, upper, solver_theta), mu
-    )
+    solver_rebuilt = assemble_three_marginal(replace(lower, theta=solver_theta), mu)
 
     rng = np.random.default_rng(config.seed + 7)
     interior_ok = True
     targets = [((0, 1), target_xy), ((0, 2), target_xz)]
     for _ in range(20):
         theta = rng.uniform(0, 1, mu.size)
-        plan = assemble_three_marginal(mixed_assembly(lower, upper, theta), mu)
+        plan = assemble_three_marginal(replace(lower, theta=theta), mu)
         lp.check_marginals(plan, targets)
         back = recover_theta(plan, lower, mu)
         if open_atoms and np.abs((back - theta)[~per_atom_unique]).max() > 1e-9:
@@ -822,17 +788,11 @@ def run_two_map_demo(config: ScenarioConfig) -> dict:
         and checks["interior_theta_roundtrip"]
         and checks["tagb_product_form"]
     )
-    low, high = lij_window(alpha, beta)
-    windows = [[int(i), _round(alpha[i]), _round(beta[i]), _round(low[i]), _round(high[i])]
+    windows = [[int(i), _round(alpha[i]), _round(beta[i]), _round(lower.low[i]),
+                _round(lower.high[i])]
                for i in range(mu.size)]
-    return {
-        "kind": config.kind,
-        "seed": config.seed,
-        "support": _support_rows(res.plan),
-        "windows": windows,
-        "checks": checks,
-        "passed": bool(passed),
-    }
+    return _report(config, checks, passed, support=_support_rows(res.plan),
+                   windows=windows)
 
 
 RUNNERS = {

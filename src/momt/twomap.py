@@ -10,15 +10,16 @@ so a single degree of freedom remains, pinned to the window
 
     max(0, alpha + beta - 1) <= L11 <= min(alpha, beta).
 
-The window endpoints give the two extreme conditionals; the mixing weight
-theta tracks the position inside the window, with theta = 0 the lower
-endpoint and theta = 1 the upper one.  The window collapses exactly when
-alpha or beta is 0 or 1, and then L is the independent product.
+The window endpoints give the two extreme conditionals.  An assembly is
+its per-atom mixing weight theta in [0, 1], the position of L11 inside the
+window: theta = 0 is the lower endpoint and theta = 1 the upper one, and L
+follows from theta.  The window collapses exactly when alpha or beta is 0
+or 1, and then L is the independent product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +54,15 @@ def _rows_from_l11(alpha, beta, l11):
 
 @dataclass
 class TwoMapAssembly:
-    """Per-atom two-map data and the solved conditional mass matrices."""
+    """Per-atom two-map data and the mixing weight theta inside each window.
+
+    theta is the whole per-atom state: L11 = (1 - theta) low + theta high
+    and `_rows_from_l11` gives the rest of the row.  So for every theta in
+    [0, 1] the row equations hold, L11 stays in its window, and the four
+    masses lie in [0, 1] (L11 >= low >= max(0, alpha + beta - 1) and
+    L11 <= high = min(alpha, beta) keep each entry nonnegative, and they sum
+    to 1), all up to rounding; only theta's range needs checking.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -63,56 +72,40 @@ class TwoMapAssembly:
     G2: np.ndarray
     n_y: int
     n_z: int
-    L: np.ndarray                      # (n, 4) rows (L11, L12, L21, L22)
-    theta: np.ndarray | None = None
+    theta: np.ndarray
+    low: np.ndarray = field(init=False, repr=False)    # the L11 window, per atom
+    high: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.beta = np.asarray(self.beta, dtype=float)
-        self.L = np.asarray(self.L, dtype=float)
+        self.theta = np.asarray(self.theta, dtype=float)
+        self.T1, self.T2, self.G1, self.G2 = (
+            np.asarray(m, dtype=int) for m in (self.T1, self.T2, self.G1, self.G2))
         n = self.alpha.size
-        if self.L.shape != (n, 4):
-            raise InvariantViolation("need one (L11, L12, L21, L22) row per atom")
-        if ((self.L < -STORAGE_TOL) | (self.L > 1 + STORAGE_TOL)).any():
-            raise InvariantViolation("mass matrix entries must lie in [0, 1]")
-        resid = np.abs(
-            self.L - _rows_from_l11(self.alpha, self.beta, self.L[:, 0])
-        ).max()
-        if resid > STORAGE_TOL:
-            raise InvariantViolation(f"row equations violated by {resid:.3e}")
-        low, high = lij_window(self.alpha, self.beta)
-        if ((self.L[:, 0] < low - STORAGE_TOL) | (self.L[:, 0] > high + STORAGE_TOL)).any():
-            raise InvariantViolation("L11 escapes its feasibility window")
+        if any(v.size != n for v in (self.beta, self.theta, self.T1, self.T2,
+                                     self.G1, self.G2)):
+            raise InvariantViolation(f"beta, theta and the maps need {n} entries, one per atom")
+        if not ((-STORAGE_TOL <= self.theta) & (self.theta <= 1 + STORAGE_TOL)).all():
+            raise OutOfRange("theta must lie in [0, 1] per atom")
+        self.low, self.high = lij_window(self.alpha, self.beta)
+
+    @property
+    def L(self) -> np.ndarray:
+        """(n, 4) rows (L11, L12, L21, L22) of the conditional mass matrices."""
+        l11 = (1.0 - self.theta) * self.low + self.theta * self.high
+        return _rows_from_l11(self.alpha, self.beta, l11)
 
 
 def extreme_assemblies(alpha, beta, maps: tuple[np.ndarray, np.ndarray,
                                                 np.ndarray, np.ndarray],
                        n_y: int, n_z: int) -> tuple[TwoMapAssembly, TwoMapAssembly]:
-    """The two assemblies with L11 at the window endpoints on every atom."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    low, high = lij_window(alpha, beta)
-    T1, T2, G1, G2 = (np.asarray(m, dtype=int) for m in maps)
-    lower = TwoMapAssembly(alpha, beta, T1, T2, G1, G2, n_y, n_z,
-                           _rows_from_l11(alpha, beta, low),
-                           theta=np.zeros_like(alpha))
-    upper = TwoMapAssembly(alpha, beta, T1, T2, G1, G2, n_y, n_z,
-                           _rows_from_l11(alpha, beta, high),
-                           theta=np.ones_like(alpha))
-    return lower, upper
-
-
-def mixed_assembly(lower: TwoMapAssembly, upper: TwoMapAssembly,
-                   theta) -> TwoMapAssembly:
-    """Interpolate per atom: theta = 0 is the lower assembly, 1 the upper."""
-    theta = np.asarray(theta, dtype=float)
-    if ((theta < -STORAGE_TOL) | (theta > 1 + STORAGE_TOL)).any():
-        raise OutOfRange("theta must lie in [0, 1] per atom")
-    l11 = (1.0 - theta) * lower.L[:, 0] + theta * upper.L[:, 0]
-    return TwoMapAssembly(lower.alpha, lower.beta, lower.T1, lower.T2,
-                          lower.G1, lower.G2, lower.n_y, lower.n_z,
-                          _rows_from_l11(lower.alpha, lower.beta, l11),
-                          theta=theta)
+    """The two assemblies with L11 at the window endpoints on every atom:
+    theta = 0 and theta = 1.  `dataclasses.replace(lower, theta=...)` is the
+    assembly at any other theta."""
+    theta = np.zeros(np.shape(alpha))
+    lower = TwoMapAssembly(alpha, beta, *maps, n_y, n_z, theta)
+    return lower, replace(lower, theta=theta + 1.0)
 
 
 def unique_condition(alpha, beta):
@@ -132,28 +125,31 @@ def product_rows(alpha, beta) -> np.ndarray:
                      (1 - alpha) * beta, (1 - alpha) * (1 - beta)], axis=-1)
 
 
+def _check_atoms(assembly: TwoMapAssembly, mu: DiscreteMeasure) -> None:
+    if mu.size != assembly.alpha.size:
+        raise InvariantViolation(
+            f"measure has {mu.size} atoms, the assembly {assembly.alpha.size}")
+
+
 def assemble_three_marginal(assembly: TwoMapAssembly,
                             mu: DiscreteMeasure) -> Coupling:
     """Expand per-atom mass matrices into a coupling on X x Y x Z."""
-    n = mu.size
+    _check_atoms(assembly, mu)
+    a = assembly
     entries: dict[tuple[int, int, int], float] = {}
-    pairs = ((0, "T1", "G1"), (1, "T1", "G2"), (2, "T2", "G1"), (3, "T2", "G2"))
-    for x in range(n):
-        w = mu.weights[x]
+    for x, (w, row, t1, t2, g1, g2) in enumerate(
+            zip(mu.weights, a.L, a.T1.tolist(), a.T2.tolist(),
+                a.G1.tolist(), a.G2.tolist())):
         if w <= MASS_FLOOR:
             continue
-        for col, tname, gname in pairs:
-            mass = w * assembly.L[x, col]
-            if mass <= MASS_FLOOR:
-                continue
-            y = int(getattr(assembly, tname)[x])
-            z = int(getattr(assembly, gname)[x])
-            key = (x, y, z)
-            entries[key] = entries.get(key, 0.0) + mass
-    return Coupling((n, assembly.n_y, assembly.n_z), entries)
+        for m, key in zip(row, ((x, t1, g1), (x, t1, g2), (x, t2, g1), (x, t2, g2))):
+            mass = w * m
+            if mass > MASS_FLOOR:
+                entries[key] = entries.get(key, 0.0) + mass
+    return Coupling((mu.size, a.n_y, a.n_z), entries)
 
 
-def recover_theta(plan: Coupling, assembly_like: TwoMapAssembly,
+def recover_theta(plan: Coupling, assembly: TwoMapAssembly,
                   mu: DiscreteMeasure) -> np.ndarray:
     """Read the per-atom mixing weight off a feasible triple coupling.
 
@@ -161,18 +157,12 @@ def recover_theta(plan: Coupling, assembly_like: TwoMapAssembly,
     Degenerate map pairs (equal images) are handled by reading the joint
     first-map cell directly.
     """
-    n = mu.size
-    theta = np.zeros(n)
-    low_all, high_all = lij_window(assembly_like.alpha, assembly_like.beta)
-    for x in range(n):
-        w = mu.weights[x]
-        if w <= MASS_FLOOR:
+    _check_atoms(assembly, mu)
+    theta = np.zeros(mu.size)
+    width = assembly.high - assembly.low
+    for x, w in enumerate(mu.weights):
+        if w <= MASS_FLOOR or width[x] <= STORAGE_TOL:
             continue
-        width = high_all[x] - low_all[x]
-        if width <= STORAGE_TOL:
-            theta[x] = 0.0
-            continue
-        y1, z1 = int(assembly_like.T1[x]), int(assembly_like.G1[x])
-        l11 = plan.mass_at((x, y1, z1)) / w
-        theta[x] = float(np.clip((l11 - low_all[x]) / width, 0.0, 1.0))
+        l11 = plan.mass_at((x, int(assembly.T1[x]), int(assembly.G1[x]))) / w
+        theta[x] = float(np.clip((l11 - assembly.low[x]) / width[x], 0.0, 1.0))
     return theta

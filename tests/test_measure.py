@@ -12,6 +12,7 @@ from momt.errors import (
     IndexOutOfRange,
     InvariantViolation,
     MarginalMismatch,
+    SolverError,
 )
 from momt.measure import (
     Coupling,
@@ -103,6 +104,27 @@ def test_space_rejects_empty():
         Space("X", np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_space_rejects_non_finite_points(bad):
+    with pytest.raises(InvariantViolation, match="finite"):
+        Space("X", np.array([[0.0, 0.0], [1.0, bad]]))
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0]])
+def test_measure_rejects_non_finite_weights(weights):
+    X = Space("X", np.array([[0.0], [1.0]]))
+    with pytest.raises(InvariantViolation):
+        DiscreteMeasure(X, np.array(weights))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_coupling_and_solution_mass_reject_non_finite_totals(bad):
+    with pytest.raises(InvariantViolation):
+        Coupling((2, 2), {(0, 0): 1.0, (1, 1): bad})
+    with pytest.raises(SolverError):
+        lp._coupling_from_x(np.array([1.0, bad]), (2, 1))
+
+
 def test_measure_weight_validation():
     X = Space("X", np.array([[0.0], [1.0]]))
     with pytest.raises(InvariantViolation):
@@ -149,7 +171,7 @@ def _loop_coupling(arities, entries):
         clean[idx] = clean.get(idx, 0.0) + float(mass)
         kept.append(mass)
     total = math.fsum(kept)
-    if abs(total - 1.0) > STORAGE_TOL:
+    if not abs(total - 1.0) <= STORAGE_TOL:
         raise InvariantViolation(f"total mass {total!r} differs from 1")
     return clean
 

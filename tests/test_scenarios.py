@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from momt.serialize import dump_text
 from momt.twomap import (
     assemble_three_marginal,
     extreme_assemblies,
-    mixed_assembly,
     recover_theta,
 )
 from conftest import twin_surplus_instance
@@ -289,14 +289,14 @@ def theta_round_trip(config, fibers):
     and match it, with θ at 0 or 1 on every atom."""
     inst, meta = gen_two_map_demo(config)
     mu = inst.measures[0]
-    lower, upper = extreme_assemblies(meta["alpha"], meta["beta"], meta["maps"],
+    lower, _ = extreme_assemblies(meta["alpha"], meta["beta"], meta["maps"],
                                       meta["n_y"], meta["n_z"])
     count, matched, theta_ok = 0, 0, True
     for choice in itertools.product(*fibers):
         count += 1
         vertex = Coupling.from_dense(np.stack(choice).reshape(inst.arities))
         theta = recover_theta(vertex, lower, mu)
-        rebuilt = assemble_three_marginal(mixed_assembly(lower, upper, theta), mu)
+        rebuilt = assemble_three_marginal(replace(lower, theta=theta), mu)
         if rebuilt.total_variation(vertex) < 1e-10:
             matched += 1
             theta_ok &= bool(np.all((theta < 1e-9) | (theta > 1 - 1e-9)))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,12 +12,11 @@ from momt.twomap import (
     assemble_three_marginal,
     extreme_assemblies,
     lij_window,
-    mixed_assembly,
     product_rows,
     recover_theta,
     unique_condition,
 )
-from momt.tolerances import MASS_FLOOR
+from momt.tolerances import MASS_FLOOR, STORAGE_TOL
 from conftest import (dense_is_vertex, dense_window_scan, every_basis_vertices,
                       pair_model, two_map_restriction)
 
@@ -162,11 +163,59 @@ def test_product_form_on_collapsed_windows():
 
 
 def test_assembly_invariants_enforced():
+    for theta in (1.8, np.nan):
+        with pytest.raises(OutOfRange):
+            TwoMapAssembly(np.array([0.5]), np.array([0.5]),
+                           np.array([0]), np.array([1]), np.array([0]),
+                           np.array([1]), 2, 2, np.array([theta]))
+
+
+@pytest.mark.parametrize("field", ["beta", "theta", "T1", "T2", "G1", "G2"])
+def test_assembly_refuses_a_length_other_than_alphas(field):
+    lower, _ = _demo([0.3, 0.6], [0.5, 0.4])
     with pytest.raises(InvariantViolation):
-        TwoMapAssembly(np.array([0.5]), np.array([0.5]),
-                       np.array([0]), np.array([1]), np.array([0]),
-                       np.array([1]), 2, 2,
-                       np.array([[0.9, -0.4, -0.4, 0.9]]))
+        replace(lower, **{field: getattr(lower, field)[:1]})
+
+
+def test_assemble_and_recover_refuse_another_atom_count():
+    lower, _ = _demo([0.3, 0.6], [0.5, 0.4])
+    plan = assemble_three_marginal(lower, DiscreteMeasure(
+        Space("X", np.array([[0.0], [1.0]])), np.array([0.5, 0.5])))
+    for masses in ([1.0], [0.2, 0.3, 0.5]):
+        mu = DiscreteMeasure(Space("X", np.arange(len(masses), dtype=float)[:, None]),
+                             np.array(masses))
+        with pytest.raises(InvariantViolation):
+            assemble_three_marginal(lower, mu)
+        with pytest.raises(InvariantViolation):
+            recover_theta(plan, lower, mu)
+
+
+edge = st.sampled_from([0.0, 1.0, 1e-13, 1.0 - 1e-13]) | unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    *(st.lists(edge, min_size=n, max_size=n) for _ in range(4)))))
+def test_theta_builds_a_feasible_assembly(data):
+    """What `TwoMapAssembly` no longer checks holds for every theta in [0, 1]:
+    entries in [0, 1], the four row equations, L11 inside its window, all
+    within STORAGE_TOL, and theta reads back off the assembled plan."""
+    alpha, beta, theta, masses = (np.array(v) for v in data)
+    n = alpha.size
+    lower, _ = _demo(alpha, beta)
+    asm = replace(lower, theta=theta)
+    L = asm.L
+    assert ((-STORAGE_TOL <= L) & (L <= 1 + STORAGE_TOL)).all()
+    resid = np.column_stack([L[:, 0] + L[:, 1] - alpha, L[:, 2] + L[:, 3] - (1 - alpha),
+                             L[:, 0] + L[:, 2] - beta, L[:, 1] + L[:, 3] - (1 - beta)])
+    assert np.abs(resid).max() <= STORAGE_TOL
+    assert ((asm.low - STORAGE_TOL <= L[:, 0]) & (L[:, 0] <= asm.high + STORAGE_TOL)).all()
+    masses = masses + 0.5
+    mu = DiscreteMeasure(Space("X", np.arange(n, dtype=float)[:, None]),
+                         masses / masses.sum())
+    back = recover_theta(assemble_three_marginal(asm, mu), asm, mu)
+    wide = asm.high - asm.low > 1e-6
+    assert np.abs(back - theta)[wide].max(initial=0.0) <= 1e-9
 
 
 def test_graph_assembly_when_all_mass_on_first_maps():
@@ -185,13 +234,13 @@ def test_restrictions_match_prescription_for_any_theta():
     beta = rng.uniform(0.1, 0.9, n)
     masses = rng.uniform(0.5, 1.5, n)
     masses = masses / masses.sum()
-    lower, upper = _demo(alpha, beta)
+    lower, _ = _demo(alpha, beta)
     X = Space("X", np.arange(n, dtype=float)[:, None])
     mu = DiscreteMeasure(X, masses)
     xy = two_map_restriction(alpha, lower.T1, lower.T2, mu, 2 * n)
     xz = two_map_restriction(beta, lower.G1, lower.G2, mu, 2 * n)
     for theta in (np.full(n, 0.37), rng.uniform(0, 1, n)):
-        plan = assemble_three_marginal(mixed_assembly(lower, upper, theta), mu)
+        plan = assemble_three_marginal(replace(lower, theta=theta), mu)
         assert np.abs(plan.marginal_on((0, 1)) - xy.to_dense()).max() < 1e-12
         assert np.abs(plan.marginal_on((0, 2)) - xz.to_dense()).max() < 1e-12
         back = recover_theta(plan, lower, mu)
@@ -224,7 +273,7 @@ def test_open_atoms_multiply_vertices():
     alpha = rng.uniform(0.2, 0.8, n)
     beta = rng.uniform(0.2, 0.8, n)
     masses = np.array([0.45, 0.55])
-    lower, upper = _demo(alpha, beta)
+    lower, _ = _demo(alpha, beta)
     X = Space("X", np.arange(n, dtype=float)[:, None])
     mu = DiscreteMeasure(X, masses)
     xy = two_map_restriction(alpha, lower.T1, lower.T2, mu, 2 * n)
@@ -236,7 +285,7 @@ def test_open_atoms_multiply_vertices():
         plan = Coupling.from_dense(v.reshape(n, 2 * n, 2 * n))
         theta = recover_theta(plan, lower, mu)
         assert np.all((theta < 1e-9) | (theta > 1 - 1e-9))
-        rebuilt = assemble_three_marginal(mixed_assembly(lower, upper, theta), mu)
+        rebuilt = assemble_three_marginal(replace(lower, theta=theta), mu)
         assert rebuilt.total_variation(plan) < 1e-10
 
 
