@@ -168,9 +168,9 @@ def standard_model(measures: list[DiscreteMeasure]) -> PolytopeModel:
 # ---------------------------------------------------------------------------
 # constraint columns
 # ---------------------------------------------------------------------------
-# The simplex sees the columns of A through four operations: `price(y)` is
-# y @ A, `column(j)` is A[:, j], `matrix(ids)` puts the columns `ids` side
-# by side, and `product(M, ids)` is M @ matrix(ids).
+# The simplex sees the columns of A through three operations: `price(y)` is
+# y @ A, `column(j)` is A[:, j], and `matrix(ids)` puts the columns `ids`
+# side by side.
 
 class _DenseColumns:
     """Columns of an explicit constraint matrix."""
@@ -187,9 +187,6 @@ class _DenseColumns:
 
     def matrix(self, ids):
         return self.A[:, ids]
-
-    def product(self, M, ids):
-        return M @ self.A[:, ids]
 
 
 class _TransportColumns:
@@ -248,11 +245,6 @@ class _TransportColumns:
                                                      self.arities)):
             out[r[i], pos] = 1.0
         return out[:self.m]
-
-    def product(self, M, ids):
-        padded = np.hstack([M, np.zeros((len(M), 1))])
-        at = np.unravel_index(np.asarray(ids, dtype=int), self.arities)
-        return sum(padded[:, r[i]] for r, i in zip(self.rows, at))
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +344,8 @@ def _pivot_loop(cols, b, costs, state, allow_enter):
         bound = rmin + 1e-10 * (1.0 + rmin)
         tied = [i for i, r in ratios if r <= bound]
         if anchor is not None and len(tied) > 1:
-            leaving = tied[_lex_leaving(np.ones((len(tied), 1), dtype=bool),
-                                        d[tied, None],
-                                        cols.product(inv[tied], anchor))[0]]
+            leaving = tied[_lex_leaving(np.ones((len(tied), 1), bool), d[tied, None],
+                                        inv[tied] @ cols.matrix(anchor))[0]]
         else:
             leaving = max(tied, key=ds.__getitem__)    # the first largest pivot
         pivot, dmax = ds[leaving], max(max(ds), -min(ds))
@@ -803,17 +794,30 @@ def _strictly_complementary(cols, b, c, x, y, state, loop):
         return y + eps * psi, second
 
 
+def _normalised_cost(grid, sense):
+    """(c, sign, shift, span): sign * grid = shift + span * c with c flat,
+    of minimum 0 and span 1 (0 if constant); a span that overflows raises
+    NonFiniteCost."""
+    sign = -1.0 if sense == "max" else 1.0
+    c = sign * grid.reshape(-1)
+    shift = float(c.min())
+    span = float(c.max()) - shift             # Python floats: overflow is inf, silently
+    if span == math.inf:
+        raise NonFiniteCost("cost span overflows the float range")
+    span = span or 1.0
+    return (c - shift) / span, sign, shift, span
+
+
 def solve(instance: DiscreteInstance) -> SolveResult:
     """Solve the transport LP exactly.
 
     Returns a basic optimal plan (a polytope vertex), canonical-gauge dual
     potentials, and the optimal value; strong duality and complementary
     slackness residuals are carried along for auditing.  The simplex runs
-    on the cost shifted to minimum 0 and divided by its span (a span that
-    overflows raises NonFiniteCost): the network simplex for two marginals,
-    the dense revised simplex for more.  The potentials are strictly
-    complementary: their active set (within ACTIVE_TOL times the span) is
-    the union of all optimal supports.
+    on the cost normalised to minimum 0 and span 1 (`_normalised_cost`):
+    the network simplex for two marginals, the dense revised simplex for
+    more.  The potentials are strictly complementary: their active set
+    (within ACTIVE_TOL times the span) is the union of all optimal supports.
     """
     n_cells = instance.grid_size()
     if n_cells > GRID_CAP:
@@ -823,14 +827,7 @@ def solve(instance: DiscreteInstance) -> SolveResult:
         raise NonFiniteCost("cost grid contains non-finite values")
     weights = [m.weights for m in instance.measures]
     cols = _TransportColumns(weights)
-    sign = -1.0 if instance.sense == "max" else 1.0
-    c = sign * grid.reshape(-1)
-    shift = float(c.min())
-    span = float(c.max()) - shift             # Python floats: overflow is inf, silently
-    if span == math.inf:
-        raise NonFiniteCost("cost span overflows the float range")
-    span = span or 1.0
-    c = (c - shift) / span
+    c, sign, shift, span = _normalised_cost(grid, instance.sense)
     if instance.n_axes == 2:
         loop, state = _tree_loop, _Tree(cols, *_tree_start(weights, c))
     else:
@@ -927,36 +924,28 @@ def _lex_leaving(tied, D, W, owner=None):
     right-hand side b + B0 (eps, eps^2, ...), and as W is nonsingular it
     leaves one row.  W may hold just the rows of D, in the same order.  With
     `owner`, W is a stack, one per basis, and column c is tested against
-    W[owner[c]].  Some column must have more than one tied row.
+    W[owner[c]].
 
-    The tied rows of all open columns are packed side by side (NaN pads a
-    column's missing rows); each round drops, in every column still open,
-    the rows above the least ratio at the first j where its rows differ.
+    A column with one tied row leaves on it.  The others' ties are a flat
+    list of (column, row) pairs, by column and then row, with their ratios.
+    Each round drops, in every column's segment, the rows above the least
+    ratio at the first j where its rows differ; a column whose rows all tie
+    leaves on its first row left and drops out, until the list is empty.
     """
     leaving = np.argmax(tied, axis=0)
-    counts = tied.sum(axis=0)
-    cols = np.flatnonzero(counts > 1)
-    sub = tied[:, cols].T
-    g, p = np.nonzero(sub)
-    r = (np.cumsum(sub, axis=1) - 1)[g, p]          # place among its column's ties
-    ratios = np.full((cols.size, counts[cols].max(), W.shape[-1]), np.nan)
-    Wp = W[p] if owner is None else W[owner[cols[g]], p]
-    ratios[g, r] = Wp / D[p, cols[g]][:, None]
-    split = np.arange(cols.size)                    # the columns still open
-    while True:
-        opened = ratios[split]
-        low = np.fmin.reduce(opened, axis=1)
+    c, rows = np.nonzero((tied & (tied.sum(axis=0) > 1)).T)
+    ratios = (W[rows] if owner is None else W[owner[c], rows]) / D[rows, c][:, None]
+    while c.size:
+        starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+        low = np.minimum.reduceat(ratios, starts)
         tol = _LEX_TOL * (1.0 + np.abs(low))
-        differs = np.fmax.reduce(opened, axis=1) - low > tol
-        more = np.flatnonzero(differs.any(axis=1))
-        if not more.size:
-            break
-        j = np.argmax(differs[more], axis=1)
-        gs, rs = np.nonzero(opened[more, :, j] > (low + tol)[more, j][:, None])
-        split = split[more]
-        ratios[split[gs], rs] = np.nan
-    first = np.argmax(~np.isnan(ratios[:, :, 0]), axis=1)
-    leaving[cols] = p[r == first[g]]
+        differs = np.maximum.reduceat(ratios, starts) - low > tol
+        done = ~differs.any(axis=1)
+        leaving[c[starts[done]]] = rows[starts[done]]
+        seg = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, c.size]))
+        j = differs.argmax(axis=1)[seg]
+        keep = ~done[seg] & ~(ratios[np.arange(c.size), j] > (low + tol)[seg, j])
+        c, rows, ratios = c[keep], rows[keep], ratios[keep]
     return leaving
 
 
@@ -984,13 +973,13 @@ def enumerate_vertices(weights: list[np.ndarray]) -> list[np.ndarray]:
     basic solution B^-1 b of a block and one more every B^-1 A; each item
     is the LAPACK call a single basis would make, so the bits do not depend
     on the stacking.  The ratio tests of all (basis, entering column) pairs
-    run as array passes, and `_lex_leaving` breaks the ties of the whole
-    block at once.  A basis is known by the bitmask of its columns; more
-    than MAX_BASES lexicographically feasible bases raise InstanceTooLarge.
-    A vertex is known by its support.  A nondegenerate one has one basis; a
-    degenerate one is solved on the least of its bases by bitmask, which
-    the search reaches whatever its order.  Vertices come out sorted by
-    `_vertex_key`.
+    run as array passes, and one `_lex_leaving` call per block gives every
+    pair's leaving row, lexicographic where rows tie.  A basis is known by
+    the bitmask of its columns; more than MAX_BASES lexicographically
+    feasible bases raise InstanceTooLarge.  A vertex is known by its
+    support.  A nondegenerate one has one basis; a degenerate one is solved
+    on the least of its bases by bitmask, which the search reaches whatever
+    its order.  Vertices come out sorted by `_vertex_key`.
     """
     live = [(w > 0.0).nonzero()[0] for w in weights]
     kept = [w[i] for w, i in zip(weights, live)]
@@ -1032,10 +1021,7 @@ def enumerate_vertices(weights: list[np.ndarray]) -> list[np.ndarray]:
                                where=D > RATIO_TOL)
             rmin = ratios.min(axis=1, keepdims=True)
             tied = ratios <= rmin + 1e-10 * (1.0 + rmin)
-            if np.count_nonzero(tied) > len(at):
-                leaving = _lex_leaving(tied.T, D.T, directions[:, :, anchor], at)
-            else:
-                leaving = tied.argmax(axis=1)
+            leaving = _lex_leaving(tied.T, D.T, directions[:, :, anchor], at)
             for i, p, e in zip(at.tolist(), leaving.tolist(), entering.tolist()):
                 row = rows[i]
                 key = block[i] ^ bits[row[p]] | bits[e]
@@ -1068,11 +1054,11 @@ def oracle_vertices(instance: DiscreteInstance) -> list[tuple[np.ndarray, float]
     more than MAX_BASES vertices raises: random-weight 3x3x3x3 and 4x4x4
     instances do after 1-2 seconds (2 shared CPUs), and random-weight 6x6
     ones, with 120 000 vertices or more, finish or raise after 6-12
-    seconds.  Degenerate weights give fewer vertices; the 5x5
-    uniform-weight instance has 120 vertices and 15 000 such bases, and
-    finishes in about a second.  Each vertex is a flat vector over the grid
-    whose mass must be 1 within 1e-9 (else SolverError); no Coupling is
-    built, so `momt solve --oracle` pays only for the count and the values.
+    seconds.  Degenerate weights give fewer vertices: the 5x5 uniform one
+    has 120 vertices and 15 000 such bases, and takes half a second.  Each
+    vertex is a flat vector over the grid whose mass must be 1 within 1e-9
+    (else SolverError); no Coupling is built, so `momt solve --oracle` pays
+    only for the count and the values.
     """
     arities = instance.arities
     if int(np.prod(arities)) > ORACLE_GRID_CAP or sum(arities) > ORACLE_ATOM_CAP:
@@ -1126,8 +1112,7 @@ def uniqueness_certificate(instance: DiscreteInstance,
     plan = result.plan
     witness = _coupling_from_x(x, instance.arities)
     plan_x = plan.to_dense().reshape(-1)
-    c = instance.cost_grid().reshape(-1) * (-1.0 if instance.sense == "max" else 1.0)
-    c = (c - c.min()) / (float(np.ptp(c)) or 1.0)
+    c = _normalised_cost(instance.cost_grid(), instance.sense)[0]
     cost_gap = abs(float(c @ witness.to_dense().reshape(-1)) - float(c @ plan_x))
     off_mass = float(x[plan_x == 0.0].sum())
     tv = plan.total_variation(witness)

@@ -52,7 +52,7 @@ def _rows_from_l11(alpha, beta, l11):
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class TwoMapAssembly:
     """Per-atom two-map data and the mixing weight theta inside each window.
 
@@ -62,6 +62,8 @@ class TwoMapAssembly:
     masses lie in [0, 1] (L11 >= low >= max(0, alpha + beta - 1) and
     L11 <= high = min(alpha, beta) keep each entry nonnegative, and they sum
     to 1), all up to rounding; only theta's range needs checking.
+    Assemblies compare and hash by identity: a field-wise comparison of
+    numpy arrays has no single truth value.
     """
 
     alpha: np.ndarray

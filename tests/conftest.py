@@ -48,11 +48,7 @@ def dense_solve(inst):
     potentials), ready for `lp.uniqueness_certificate`.
     """
     cols = lp._TransportColumns([m.weights for m in inst.measures])
-    sign = -1.0 if inst.sense == "max" else 1.0
-    c = sign * inst.cost_grid().reshape(-1)
-    shift = float(c.min())
-    span = float(c.max()) - shift or 1.0
-    c = (c - shift) / span
+    c, sign, shift, span = lp._normalised_cost(inst.cost_grid(), inst.sense)
     weights = [m.weights for m in inst.measures]
     state = lp._SimplexState(basis=lp._least_cost_basis(weights, c)[0])
     xB, y = lp._pivot_loop(cols, cols.b, c, state, np.ones(cols.n, dtype=bool))

@@ -644,3 +644,16 @@ def test_tiny_weights_pass_and_match_the_instance_without_them(tmp_path, capsys,
         if n_axes > 2:
             assert main(["reduce", _write(tmp_path, doc), "--subset", "1,2"]) == 0
             capsys.readouterr()
+
+
+def test_importing_the_cli_loads_no_pool_scipy_or_hypothesis():
+    """`from momt import cli` stays light: the process pool is imported only
+    when a command fans out, and the library needs no test dependency."""
+    src = os.path.dirname(os.path.dirname(momt.__file__))
+    heavy = ("concurrent.futures", "multiprocessing", "scipy", "hypothesis")
+    code = ("import sys\nfrom momt import cli\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

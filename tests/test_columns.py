@@ -34,11 +34,6 @@ def test_implicit_columns_match_the_dense_standard_model(shape):
         assert np.array_equal(cols.column(j), model.A[:, j])
     assert np.array_equal(cols.matrix(range(cols.n)), model.A)
     rng = np.random.default_rng(len(shape))
-    M = rng.normal(size=(3, cols.m))
-    ids = rng.integers(0, cols.n, 5)
-    assert np.allclose(cols.product(M, ids), M @ model.A[:, ids], rtol=0, atol=1e-14)
-    assert np.allclose(lp._DenseColumns(model.A).product(M, ids), M @ model.A[:, ids],
-                       rtol=0, atol=1e-14)
     for scale in (1.0, 1e-8, 1e9):
         y = rng.normal(size=cols.m) * scale
         bound = 1e-15 * (1.0 + np.abs(y).sum())

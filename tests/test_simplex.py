@@ -214,7 +214,7 @@ def _reference_pivot_loop(cols, b, costs, state, allow_enter, max_iter=lp._MAX_P
         if anchor is not None and len(tied) > 1:
             leaving = tied[lp._lex_leaving(np.ones((len(tied), 1), dtype=bool),
                                            d[tied, None],
-                                           cols.product(inv[tied], anchor))[0]]
+                                           inv[tied] @ cols.matrix(anchor))[0]]
         else:
             leaving = tied[np.argmax(d[tied])]
         dmax = np.abs(d).max()

@@ -170,6 +170,13 @@ def test_assembly_invariants_enforced():
                            np.array([1]), 2, 2, np.array([theta]))
 
 
+def test_assemblies_compare_by_identity():
+    lower, upper = _demo([0.3, 0.6], [0.5, 0.4])
+    assert (lower == upper) is False
+    assert (lower == lower) is True
+    assert len({lower, upper, lower}) == 2
+
+
 @pytest.mark.parametrize("field", ["beta", "theta", "T1", "T2", "G1", "G2"])
 def test_assembly_refuses_a_length_other_than_alphas(field):
     lower, _ = _demo([0.3, 0.6], [0.5, 0.4])
