@@ -172,15 +172,17 @@ def _instance_hash(instance: DiscreteInstance) -> str:
     return hashlib.sha256(dump_text(instance_to_dict(instance)).encode()).hexdigest()
 
 
+def _support_rows(plan) -> list[dict]:
+    """A plan's entries as 1-based {"index", "mass"} rows, in index order."""
+    return [{"index": [int(i) + 1 for i in idx], "mass": float(m)}
+            for idx, m in sorted(plan.entries.items())]
+
+
 def result_dict(instance, res: lp.SolveResult, certificates=None,
                 provenance=None) -> dict:
-    support = [
-        {"index": [int(i) + 1 for i in idx], "mass": float(m)}
-        for idx, m in sorted(res.plan.entries.items())
-    ]
     out = {
         "value": float(res.value),
-        "support": support,
+        "support": _support_rows(res.plan),
         "potentials": [v.tolist() for v in res.potentials.vectors],
         "certificates": certificates or {},
         "provenance": {
@@ -286,10 +288,7 @@ def cmd_diagnose(args) -> int:
             "status": cert.status,
             "face_probe_value_gap": float(cert.face_probe_value_gap),
             "max_tv_gap": float(cert.max_tv_gap),
-            "witness": None if cert.witness is None else [
-                {"index": [int(i) + 1 for i in idx], "mass": float(m)}
-                for idx, m in sorted(cert.witness.entries.items())
-            ],
+            "witness": None if cert.witness is None else _support_rows(cert.witness),
         },
     }
     _write_out(result_dict(instance, res, certificates,

@@ -19,6 +19,8 @@ class DiscreteInstance:
     cost: CostSpec
 
     def __post_init__(self):
+        if not self.spaces:
+            raise InvariantViolation("an instance needs at least one axis")
         if len(self.spaces) != len(self.measures):
             raise InvariantViolation("one measure per space required")
         for s, m in zip(self.spaces, self.measures):

@@ -84,6 +84,8 @@ class ScenarioConfig:
         if self.dimension < 0:
             raise InvariantViolation("dimension must be non-negative (0: the default)")
         self.radii = tuple(float(r) for r in self.radii)
+        if not all(r > 0 for r in self.radii):      # NaN fails
+            raise InvariantViolation("shell radii must be positive")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise InvariantViolation("shell radii must be strictly increasing")
 
@@ -97,7 +99,7 @@ class NormalField:
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
         norms = np.linalg.norm(v, axis=1)
-        if np.abs(norms - 1.0).max() > STORAGE_TOL:
+        if not (np.abs(norms - 1.0) <= STORAGE_TOL).all():      # NaN fails
             raise InvariantViolation("normals must have unit length")
         object.__setattr__(self, "vectors", v)
 
@@ -163,6 +165,8 @@ def gen_sphere_reflection(config: ScenarioConfig):
     rng = np.random.default_rng(config.seed)
     n_pairs = int(config.extras.get("pairs", config.sizes[0] if config.sizes else 3))
     n_equator = int(config.extras.get("equator", 0))
+    if min(n_pairs, n_equator) < 0 or n_pairs + n_equator < 1:
+        raise InvariantViolation("pairs and equator must be non-negative, with at least one atom")
     p = n_pairs + n_equator
 
     base = rng.uniform(0, 2 * np.pi)
@@ -461,7 +465,9 @@ def run_nested_shells(config: ScenarioConfig) -> dict:
 
 def gen_gangbo_swiech(config: ScenarioConfig):
     rng = np.random.default_rng(config.seed)
-    n_axes = config.extras.get("n_axes", 3)
+    n_axes = int(config.extras.get("n_axes", 3))
+    if n_axes < 2:
+        raise InvariantViolation(f"gangboSwiech needs at least 2 axes, got {n_axes}")
     n = config.sizes[0] if config.sizes else 8
     d = config.dimension or 2
     spaces = [Space(f"X{k}", rng.uniform(-1, 1, size=(n, d)))

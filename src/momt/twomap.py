@@ -37,7 +37,8 @@ def lij_window(alpha, beta):
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     high, top = np.minimum(alpha, beta), np.maximum(alpha, beta)
-    if not (-STORAGE_TOL <= high.min() and top.max() <= 1 + STORAGE_TOL):   # NaN fails
+    # NaN fails; no atoms pass
+    if not (-STORAGE_TOL <= high.min(initial=0.0) and top.max(initial=1.0) <= 1 + STORAGE_TOL):
         name, w = next((name, w) for name, w in (("alpha", alpha), ("beta", beta))
                        if not ((-STORAGE_TOL <= w) & (w <= 1 + STORAGE_TOL)).all())
         raise OutOfRange(f"{name} = {w} outside [0, 1]")

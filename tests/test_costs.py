@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +30,7 @@ from momt.instance import DiscreteInstance
 from momt.lp import Potentials
 from momt.measure import DiscreteMeasure, Space
 from momt.reduction import reduce
+from momt.scenarios import ScenarioConfig, gen_gangbo_swiech
 from conftest import random_instance
 
 
@@ -407,3 +410,147 @@ def test_conjugate_tables_match_the_complement_fold(n_axes, n):
             expected = 0.5 * (table.samples**2).sum(1) + psi
             assert np.all(np.abs(table.values - expected)
                           <= 1e-12 * (1.0 + np.abs(expected))), (seed, j)
+
+
+# -- the map pass against the atom-by-atom algorithm it replaced --------------
+
+def _reference_gradients(instance, potentials):
+    """One unravel_index and np.sum per winner, atom by atom."""
+    grid = instance.cost_grid()
+    n0 = instance.arities[0]
+    comp_shape = instance.arities[1:]
+    slack = grid.copy()
+    for k in range(1, instance.n_axes):
+        shape = [1] * instance.n_axes
+        shape[k] = instance.arities[k]
+        slack = slack - potentials.vectors[k].reshape(shape)
+    grads = np.zeros((n0, instance.spaces[0].dim))
+    tied = np.zeros(n0, dtype=bool)
+    for a in range(n0):
+        flat = slack[a].reshape(-1)
+        best = flat.max()
+        winners = np.flatnonzero(flat >= best - 1e-9)
+        selections = []
+        for w in winners:
+            combo = np.unravel_index(w, comp_shape)
+            selections.append(np.sum(
+                [instance.spaces[k + 1].points[i] for k, i in enumerate(combo)], axis=0))
+        grads[a] = selections[0]
+        for s in selections[1:]:
+            if np.linalg.norm(s - selections[0]) > 1e-9:
+                tied[a] = True
+                break
+    return grads, tied
+
+
+def _reference_maps(instance, potentials, conjugates, plan):
+    """legendre_conjugate plus conjugate_argmax_ties per atom, then a fiber
+    loop per atom and axis."""
+    grads, dual_tied = _reference_gradients(instance, potentials)
+    p0 = instance.spaces[0].points
+    n0 = instance.arities[0]
+    maps = {}
+    tie_flags = dual_tied.copy()
+    for j, table in sorted(conjugates.items()):
+        images = np.zeros((n0, p0.shape[1]))
+        for a in range(n0):
+            s = p0[a] + grads[a]
+            _, idx = legendre_conjugate(table, s)
+            ties = conjugate_argmax_ties(table, s)
+            if any(np.linalg.norm(table.samples[t] - table.samples[idx]) > 1e-9
+                   for t in ties):
+                tie_flags[a] = True
+            images[a] = table.samples[idx] - p0[a]
+        maps[j] = images
+    report = {"tied_atoms": sorted(int(i) for i in np.flatnonzero(tie_flags))}
+    fibers = plan.fibers(0)
+    agree_untied = considered = agree_all = total = 0
+    worst = 0.0
+    for a in range(n0):
+        if a not in fibers:
+            continue
+        dists = []
+        for j in sorted(maps):
+            pts = instance.spaces[j].points
+            fiber_pts = [pts[rest[j - 1]] for rest in fibers[a]]
+            dists.append(min(np.linalg.norm(maps[j][a] - q) for q in fiber_pts))
+        hit = max(dists) <= 1e-8
+        total += 1
+        agree_all += hit
+        if not tie_flags[a]:
+            considered += 1
+            agree_untied += hit
+            worst = max(worst, max(dists))
+    report["agreement_fraction"] = agree_untied / considered if considered else 1.0
+    report["agreement_fraction_all"] = agree_all / total if total else 1.0
+    report["max_point_distance"] = worst
+    return grads, dual_tied, maps, report
+
+
+@st.composite
+def _gs_case(draw):
+    """A maximized surplus instance; lattice points make ties likely, and a
+    negated lattice has coordinates -0.0."""
+    n_axes, n, d = draw(st.integers(2, 4)), draw(st.integers(2, 7)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattice = draw(st.booleans())
+    grid = np.stack(np.meshgrid(*[np.linspace(-1, 1, 9)] * d), -1).reshape(-1, d)
+    spaces = []
+    for k in range(n_axes):
+        if lattice:
+            pts = grid[rng.choice(len(grid), n, replace=False)] * rng.choice([1.0, -1.0])
+        else:
+            pts = rng.uniform(-1, 1, (n, d))
+        spaces.append(Space(f"X{k}", pts))
+    weights = [np.ones(n) / n for _ in spaces]
+    if draw(st.booleans()):         # a zero-weight first-axis atom leaves the support
+        weights[0] = np.r_[0.0, np.ones(n - 1) / (n - 1)]
+    kind = draw(st.sampled_from(["surplus", "gangboSwiech"]))
+    return DiscreteInstance(spaces, [DiscreteMeasure(s, w) for s, w in zip(spaces, weights)],
+                            CostSpec(kind, "max"))
+
+
+def _assert_maps_match_reference(inst):
+    res = lp.solve(inst)
+    conjugates = _conjugates(inst, res.potentials)
+    grads, tied = dual_gradient_selection(inst, res.potentials)
+    maps, report = gangbo_swiech_maps(inst, res.potentials, conjugates, plan=res.plan)
+    r_grads, r_tied, r_maps, r_report = _reference_maps(inst, res.potentials,
+                                                        conjugates, res.plan)
+    # byte equality: signed zeros too
+    assert grads.tobytes() == r_grads.tobytes() and np.array_equal(tied, r_tied)
+    assert sorted(maps) == sorted(r_maps)
+    for j in maps:
+        assert maps[j].tobytes() == r_maps[j].tobytes()
+    assert report == r_report
+    return report
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gs_case())
+def test_map_pass_matches_the_atom_by_atom_reference(inst):
+    _assert_maps_match_reference(inst)
+
+
+@pytest.mark.parametrize("n_axes,n,d,seed", [(3, 6, 3, 13), (3, 7, 2, 55), (4, 4, 2, 24)])
+def test_map_pass_matches_the_reference_on_tied_atoms(n_axes, n, d, seed):
+    # gangboSwiech studies whose dual gradients tie at some atoms, so the
+    # tie rules decide part of the report
+    inst = gen_gangbo_swiech(ScenarioConfig("gs", seed=seed, sizes=(n,), dimension=d,
+                                            extras={"n_axes": n_axes}))
+    assert _assert_maps_match_reference(inst)["tied_atoms"]
+
+
+def test_map_pass_memory_stays_per_atom():
+    # N=2 n=150: one table of 22 500 samples; scoring every atom at once
+    # would hold 150 x 22 500 scores (about 27 MB)
+    inst = _gs_instance(0, n=150, n_axes=2)
+    res = lp.solve(inst)
+    conjugates = _conjugates(inst, res.potentials)
+    tracemalloc.start()
+    try:
+        gangbo_swiech_maps(inst, res.potentials, conjugates, plan=res.plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
